@@ -101,7 +101,7 @@ let parallel_kernels ~quick ~jobs ?json () =
   in
   (* jobs=N records carry the granularity decision the kernel actually
      took ([chosen_parallel] = 1 when it dispatched on the pool, 0 when
-     the auto-tuner kept it inline) *)
+     its work-size cutoff kept it inline) *)
   let record_j ?(extras = []) family wall rank facts =
     match json with
     | None -> ()

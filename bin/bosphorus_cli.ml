@@ -416,19 +416,13 @@ let config_term =
                    to the solver's incremental Gauss-Jordan engine, which \
                    propagates implied literals and detects parity conflicts \
                    during search.  MODE is $(b,auto) (engage when a round \
-                   carries at least --gauss-threshold rows; the default), \
+                   carries at least 8 rows; the default), \
                    $(b,on) or $(b,off).  $(b,on) is rejected together with \
                    --audit: parity-derived reason clauses are not \
                    RUP-certifiable.")
   in
-  let gauss_threshold =
-    Arg.(value & opt int default.gauss_threshold
-         & info [ "gauss-threshold" ] ~docv:"N"
-             ~doc:"Minimum XOR rows in a SAT round before --gauss auto \
-                   engages.")
-  in
   let build m dm d k l l' c0 iters seed jobs timeout_s max_memory_monomials
-      max_total_conflicts portfolio gauss gauss_threshold =
+      max_total_conflicts portfolio gauss =
     {
       default with
       xl_sample_bits = m;
@@ -446,12 +440,11 @@ let config_term =
       max_total_conflicts;
       portfolio = Int.max 1 portfolio;
       gauss;
-      gauss_threshold = Int.max 1 gauss_threshold;
     }
   in
   Term.(
     const build $ m $ dm $ d $ k $ l $ l' $ c0 $ iters $ seed $ jobs $ timeout
-    $ max_mem $ max_conf $ portfolio $ gauss $ gauss_threshold)
+    $ max_mem $ max_conf $ portfolio $ gauss)
 
 let cmd =
   let doc = "bridge ANF and CNF solvers by iterative fact learning" in

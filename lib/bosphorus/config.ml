@@ -24,7 +24,6 @@ type t = {
   max_total_conflicts : int option;
   portfolio : int;
   gauss : gauss_mode;
-  gauss_threshold : int;
 }
 
 let paper =
@@ -52,7 +51,6 @@ let paper =
     max_total_conflicts = None;
     portfolio = 1;
     gauss = Gauss_auto;
-    gauss_threshold = 8;
   }
 
 (* Laptop-scale defaults: same semantics, smaller linearised systems and

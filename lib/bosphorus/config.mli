@@ -6,7 +6,7 @@
     solver's in-search parity engine ({!Sat.Parity}: watched-row
     propagation plus level-0 Gauss-Jordan assimilation). *)
 type gauss_mode =
-  | Gauss_auto  (** on when the round carries at least [gauss_threshold] XORs *)
+  | Gauss_auto  (** on when the round carries at least 8 XORs *)
   | Gauss_on
   | Gauss_off
 
@@ -101,12 +101,9 @@ type t = {
           emitted clauses, and SAT stages feed them to {!Sat.Solver.add_xor}
           so the {!Sat.Parity} engine propagates them during search.
           [Gauss_auto] (the default) engages when a round carries at least
-          [gauss_threshold] rows.  Incompatible with [audit_trail]
+          8 rows.  Incompatible with [audit_trail]
           ([Gauss_on] + audit is rejected; auto simply stays off) —
           parity-derived reasons are not RUP steps. *)
-  gauss_threshold : int;
-      (** minimum XOR rows in a round before [Gauss_auto] engages
-          (default 8) *)
 }
 
 val default : t

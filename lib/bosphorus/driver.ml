@@ -369,8 +369,8 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
   let use_portfolio = config.Config.portfolio > 1 && trail = None in
   (* In-search parity gate: audited runs never feed XOR rows (the solver
      would have to certify non-RUP reason clauses), [Gauss_on] forces them
-     in, and [Gauss_auto] engages once a stage carries enough rows to pay
-     for the Gauss-Jordan bookkeeping. *)
+     in, and [Gauss_auto] engages once a stage carries enough rows (8) to
+     pay for the Gauss-Jordan bookkeeping. *)
   let gauss_wanted n_xors =
     trail = None
     && n_xors > 0
@@ -378,7 +378,7 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
     match config.Config.gauss with
     | Config.Gauss_on -> true
     | Config.Gauss_off -> false
-    | Config.Gauss_auto -> n_xors >= config.Config.gauss_threshold
+    | Config.Gauss_auto -> n_xors >= 8
   in
   (* Returns false on an immediate parity contradiction, same contract as
      [Sat.Solver.add_formula]. *)

@@ -42,23 +42,20 @@ let column_basis ?(jobs = 1) polys =
 let g_columns = Obs.Metrics.gauge "linearize.columns"
 let g_rows = Obs.Metrics.gauge "linearize.rows"
 
-(* Granularity auto-tuning: hashing and row building are cheap per
-   polynomial, so parallel dispatch only pays on large systems.  The
-   gauge learns the per-polynomial sequential cost from real sequential
-   builds. *)
-let build_gauge =
-  Runtime.Pool.Grain.gauge ~name:"linearize.build" ~default_op_ns:3000.0
+(* Smallest system worth dispatching.  On 2 domains a build saves half
+   its sequential time, which must beat 4x a ~20 us pool round-trip:
+   160 us of sequential work, at roughly 3 us per polynomial. *)
+let build_parallel_cutoff = 54
 
 let build_parallel_worthwhile ~n_polys ~jobs () =
   jobs > 1
-  && Runtime.Pool.Grain.worth_parallel_jobs ~jobs build_gauge
-       ~ops:n_polys
+  && Int.min jobs (Domain.recommended_domain_count ()) > 1
+  && n_polys >= build_parallel_cutoff
 
 let build ?(jobs = 1) polys =
   Obs.Trace.with_span ~name:"linearize.build" @@ fun () ->
   let n_polys = List.length polys in
   let jobs = if build_parallel_worthwhile ~n_polys ~jobs () then jobs else 1 in
-  let t0 = if jobs <= 1 then Unix.gettimeofday () else 0.0 in
   let columns = column_basis ~jobs polys in
   if Obs.Metrics.enabled () then begin
     Obs.Metrics.set_gauge g_columns (Array.length columns);
@@ -84,9 +81,6 @@ let build ?(jobs = 1) polys =
     if jobs <= 1 then List.map row_of polys
     else Runtime.Pool.map_list (Runtime.Pool.get ~jobs) row_of polys
   in
-  if jobs <= 1 then
-    Runtime.Pool.Grain.observe build_gauge ~ops:n_polys
-      ~wall_s:(Unix.gettimeofday () -. t0);
   (t, Gf2.Matrix.of_rows ~cols:ncols rows)
 
 let n_columns t = Array.length t.columns

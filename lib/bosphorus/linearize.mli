@@ -12,15 +12,16 @@ type t
     parallel over the shared {!Runtime.Pool}; the basis is sorted after
     the merge, so the result is identical for every [jobs].
 
-    [jobs] is a ceiling: a measured granularity gauge (per-polynomial
-    sequential cost vs. pool dispatch cost) keeps small systems on the
-    inline path, so [jobs > 1] is never slower than [jobs = 1] on builds
-    too small to amortise the dispatch. *)
+    [jobs] is a ceiling: systems below a fixed cutoff (about 54
+    polynomials, the size at which a 2-domain split starts to beat pool
+    dispatch) and hosts with a single domain stay on the inline path, so
+    [jobs > 1] does not pay dispatch on builds too small to amortise
+    it. *)
 val build : ?jobs:int -> Anf.Poly.t list -> t * Gf2.Matrix.t
 
 (** Whether {!build} would dispatch on the pool for this system size and
-    [jobs] — the auto-tuned granularity decision, exposed so benches can
-    record the chosen mode next to the timing. *)
+    [jobs], exposed so benches can record the chosen mode next to the
+    timing. *)
 val build_parallel_worthwhile : n_polys:int -> jobs:int -> unit -> bool
 
 (** Number of monomial columns. *)

@@ -56,37 +56,23 @@ let expand_chunk ?budget multipliers chunk =
    with Harness.Budget.Tripped _ -> ());
   List.rev !out
 
-(* Granularity auto-tuning: parallel expansion only pays once the product
-   count is large enough to amortise a pool dispatch.  The gauge learns
-   the sequential cost per product from real sequential runs (every
-   un-budgeted inline expansion feeds it), so the first calls after
-   process start rely on the seed and later ones on measurement. *)
-let expand_gauge =
-  Runtime.Pool.Grain.gauge ~name:"xl.expand" ~default_op_ns:2000.0
-
 let expand_ops ~n_polys ~n_multipliers = n_polys * (n_multipliers + 1)
+
+(* Smallest expansion worth dispatching.  On 2 domains it saves half its
+   sequential time, which must beat 4x a ~20 us pool round-trip: 160 us
+   of sequential work, at roughly 2 us per product. *)
+let expand_parallel_cutoff = 80
 
 let expand_parallel_worthwhile ~n_polys ~n_multipliers ~jobs () =
   jobs > 1
-  && Runtime.Pool.Grain.worth_parallel_jobs ~jobs expand_gauge
-       ~ops:(expand_ops ~n_polys ~n_multipliers)
+  && Int.min jobs (Domain.recommended_domain_count ()) > 1
+  && expand_ops ~n_polys ~n_multipliers >= expand_parallel_cutoff
 
 let expand ?(jobs = 1) ?budget ~multipliers polys =
   let n_multipliers = List.length multipliers in
   let n_polys = List.length polys in
-  let sequential () =
-    let out, wall_s = Harness.Timing.time (fun () -> expand_chunk ?budget multipliers polys) in
-    (* a tripped budget would under-report the sequential cost, so only
-       clean runs feed the gauge *)
-    if Option.is_none budget then
-      Runtime.Pool.Grain.observe expand_gauge
-        ~ops:(expand_ops ~n_polys ~n_multipliers) ~wall_s;
-    out
-  in
-  if
-    jobs <= 1
-    || not (expand_parallel_worthwhile ~n_polys ~n_multipliers ~jobs ())
-  then sequential ()
+  if not (expand_parallel_worthwhile ~n_polys ~n_multipliers ~jobs ()) then
+    expand_chunk ?budget multipliers polys
   else begin
     (* each domain expands a contiguous chunk into a local batch; the
        batches are merged through one table in chunk order.  Both the local

@@ -49,10 +49,11 @@ val multipliers : vars:int list -> degree:int -> Anf.Monomial.t list
     started are skipped via the budget's cancellation token, and the merge
     returns the (prefix-biased) partial expansion.
 
-    [jobs] is a ceiling, not a mandate: a measured granularity gauge
-    (sequential cost per product vs. pool dispatch cost) drops small
-    expansions back to the inline path, so [jobs > 1] is never slower
-    than [jobs = 1] on calls too small to amortise the dispatch. *)
+    [jobs] is a ceiling, not a mandate: expansions below a fixed cutoff
+    (about 80 products, the size at which a 2-domain split starts to beat
+    pool dispatch) and hosts with a single domain stay on the inline
+    path, so [jobs > 1] does not pay dispatch on calls too small to
+    amortise it. *)
 val expand :
   ?jobs:int ->
   ?budget:Harness.Budget.t ->
@@ -61,8 +62,8 @@ val expand :
   Anf.Poly.t list
 
 (** Whether {!expand} would actually dispatch on the pool for this shape
-    and [jobs] — i.e. the auto-tuned granularity decision.  Exposed so
-    benches can record the chosen mode next to the timing. *)
+    and [jobs].  Exposed so benches can record the chosen mode next to
+    the timing. *)
 val expand_parallel_worthwhile :
   n_polys:int -> n_multipliers:int -> jobs:int -> unit -> bool
 

@@ -40,7 +40,7 @@ val xor_into_range : src:t -> dst:t -> lo_word:int -> hi_word:int -> unit
 val n_words : t -> int
 
 (** [words_for n] is the number of backing words a vector of [n] bits
-    occupies — the work-unit count used by granularity gauges. *)
+    occupies — the work unit of the M4RM parallel cutoff. *)
 val words_for : int -> int
 
 (** [is_zero v] is [true] iff every bit is 0. *)

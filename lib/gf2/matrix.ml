@@ -124,48 +124,23 @@ let rref m =
   audit_rref_result "Matrix.rref" m;
   !pivot_row
 
-(* ---------------- M4RM granularity auto-tuning ---------------- *)
-
-(* Cost gauge for the trailing update: one work unit = one row-word
-   touched.  Seeded pessimistically and calibrated on first use by timing
-   a real XOR sweep on this host, so the parallel/sequential decision is
-   driven by measured numbers (see Runtime.Pool.Grain). *)
-let m4rm_gauge = Runtime.Pool.Grain.gauge ~name:"gf2.m4rm" ~default_op_ns:1.0
-
-let m4rm_calibrated = Atomic.make false
-
-let calibrate_m4rm () =
-  if not (Atomic.get m4rm_calibrated) then begin
-    Atomic.set m4rm_calibrated true;
-    let words = 1 lsl 12 in
-    let src = Bitvec.create (words * Sys.int_size) in
-    let dst = Bitvec.create (words * Sys.int_size) in
-    Bitvec.set src 1 true;
-    let reps = 64 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      Bitvec.xor_into ~src ~dst
-    done;
-    let wall_s = Unix.gettimeofday () -. t0 in
-    (* several observations so the blend converges onto the measurement *)
-    for _ = 1 to 4 do
-      Runtime.Pool.Grain.observe m4rm_gauge ~ops:(reps * words) ~wall_s
-    done
-  end
+(* ---------------- M4RM parallel cutoff ---------------- *)
 
 (* Work units of one trailing-update pass: every row reads [k] pivot bits
    and XORs up to a full row of words. *)
 let m4rm_ops ~rows ~cols ~k = rows * (Bitvec.words_for cols + k)
 
+(* Smallest trailing update worth dispatching.  On 2 domains a pass saves
+   half its sequential time, and that must beat 4x a ~20 us pool
+   round-trip (queue, wake-up, joins): 160 us of sequential work.  One
+   row-word XOR measured 1.74 ns on a 2-vCPU Intel Xeon host, so the
+   cutoff is about 10^5 row-words. *)
+let m4rm_parallel_cutoff = 100_000
+
 let m4rm_parallel_worthwhile ?(k = 6) ~rows ~cols ~jobs () =
   jobs > 1
-  && begin
-       calibrate_m4rm ();
-       (* decided from [jobs] alone: probing must not spawn idle domains
-          that would slow the sequential run it then falls back to *)
-       Runtime.Pool.Grain.worth_parallel_jobs ~jobs m4rm_gauge
-         ~ops:(m4rm_ops ~rows ~cols ~k)
-     end
+  && Int.min jobs (Domain.recommended_domain_count ()) > 1
+  && m4rm_ops ~rows ~cols ~k >= m4rm_parallel_cutoff
 
 (* Words per cache panel of the blocked trailing update: the 2^k-row
    lookup table slice plus one row slice should stay resident, so target
@@ -183,8 +158,8 @@ let panel_words ~b = Int.max 64 ((1 lsl 15) / Int.max 1 (1 lsl (b - 3)))
    then the XORs sweep panel-of-words by panel-of-words so the lookup
    table slice stays hot instead of being evicted between rows.  With
    [jobs > 1] the update is partitioned row-wise across the domain pool —
-   unless the measured granularity gauge says the matrix is too small to
-   amortise dispatch, in which case it runs inline (jobs is ignored).
+   unless the update is below [m4rm_parallel_cutoff] or the host has one
+   domain, in which case it runs inline (jobs is ignored).
    Pivot selection and table construction stay sequential, and the
    per-row updates are pure functions of the read-only table, so the
    resulting RREF is bit-identical to the sequential one whatever [jobs]
@@ -192,7 +167,7 @@ let panel_words ~b = Int.max 64 ((1 lsl 15) / Int.max 1 (1 lsl (b - 3)))
 let rref_m4rm ?(k = 6) ?(jobs = 1) ?(poll = fun () -> ()) m =
   if k < 1 || k > 20 then invalid_arg "Matrix.rref_m4rm: k in 1..20";
   (* the pool is only obtained (and its domains only spawned) once the
-     gauge has decided the update is big enough to dispatch *)
+     update is known to be big enough to dispatch *)
   let pool =
     if m4rm_parallel_worthwhile ~k ~rows:m.nrows ~cols:m.ncols ~jobs ()
     then Runtime.Pool.get ~jobs

@@ -59,10 +59,11 @@ val rref : t -> int
     ({!Harness.Budget.poll}).  If it raises, the elimination aborts and
     [m] is left half-reduced: discard it.
 
-    Requesting [jobs > 1] is a ceiling, not a command: when the measured
-    granularity gauge (see {!Runtime.Pool.Grain}) estimates the matrix too
-    small to amortise pool dispatch, the update runs inline and [jobs] is
-    ignored.  {!m4rm_parallel_worthwhile} exposes that decision. *)
+    Requesting [jobs > 1] is a ceiling, not a command: below a fixed
+    work-size cutoff (about 10^5 row-words per trailing update, the size
+    at which a 2-domain split starts to beat pool dispatch), or on a host
+    with a single domain, the update runs inline and [jobs] is ignored.
+    {!m4rm_parallel_worthwhile} exposes that decision. *)
 val rref_m4rm : ?k:int -> ?jobs:int -> ?poll:(unit -> unit) -> t -> int
 
 (** [m4rm_parallel_worthwhile ?k ~rows ~cols ~jobs ()] is the granularity

@@ -361,109 +361,6 @@ let map_list t f xs =
   | None -> List.map f xs
   | Some _ -> Array.to_list (map_array t f (Array.of_list xs))
 
-(* ------------------------------------------------------------------ *)
-(* Granularity auto-tuning                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Parallelism only pays when the work dwarfs the dispatch round-trip
-   (queue mutex, wake-up, futures, joins).  [Grain] measures that
-   round-trip once per process on the real pool, keeps a per-kernel
-   estimate of sequential nanoseconds-per-work-unit, and [choose] hands
-   back the sequential pool whenever the estimated parallel saving cannot
-   cover a safety multiple of the dispatch cost.  Kernels feed measured
-   sequential runs back through [observe], so the threshold is driven by
-   this host's numbers rather than a baked-in constant. *)
-module Grain = struct
-  type gauge = { name : string; op_ns : float Atomic.t }
-
-  let gauge ~name ~default_op_ns =
-    { name; op_ns = Atomic.make (Float.max 0.001 default_op_ns) }
-
-  let name g = g.name
-  let op_ns g = Atomic.get g.op_ns
-
-  let dispatch_cache = Atomic.make 0.0
-
-  let measure_dispatch t =
-    let reps = 11 in
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      ignore (run t (List.init t.pjobs (fun _ () -> ())));
-      let t1 = Unix.gettimeofday () in
-      if t1 -. t0 < !best then best := t1 -. t0
-    done;
-    (* floor at 1us: a sub-resolution measurement must not convince the
-       tuner that dispatch is free *)
-    Float.max 1e3 (!best *. 1e9)
-
-  let dispatch_ns t =
-    match t.shared with
-    | None -> 0.0
-    | Some _ ->
-        let cached = Atomic.get dispatch_cache in
-        if cached > 0.0 then cached
-        else begin
-          let m = measure_dispatch t in
-          (* racing domains both measure; either result is fine *)
-          Atomic.set dispatch_cache m;
-          m
-        end
-
-  (* The estimated saving must exceed this multiple of the dispatch cost
-     before parallelism is chosen: estimates are rough and losing to
-     jobs=1 is the failure mode the bench gate guards. *)
-  let overhead_factor = 4.0
-
-  (* Dispatch estimate used before any pool has been measured.  It errs
-     pessimistic (a generous round-trip for a cold queue), which biases
-     the first decisions toward inline — the cheap failure mode. *)
-  let default_dispatch_ns = 20_000.0
-
-  let estimated_saving g ~ops ~eff =
-    let est_seq = float_of_int ops *. op_ns g in
-    let j = float_of_int eff in
-    est_seq *. (j -. 1.0) /. j
-
-  (* Decide from [jobs] alone, without creating, growing or even touching
-     a pool.  This is the probe-cost guarantee the kernels rely on: on
-     OCaml 5 every *spawned* domain joins each stop-the-world minor
-     collection, so merely asking "would jobs=4 pay off?" must not spawn
-     three idle domains and tax the sequential run it then chooses (a
-     measured ~20% on the allocation-heavy linearizer).  The dispatch
-     round-trip is taken from the process-wide cache when a real dispatch
-     has been measured, else from a conservative default; the first time
-     the cheap verdict says "parallel" the caller obtains the pool and
-     the measurement happens there, once, amortised over the process. *)
-  let worth_parallel_jobs ~jobs g ~ops =
-    let eff = min jobs (Domain.recommended_domain_count ()) in
-    eff > 1 && ops > 0
-    &&
-    let saving = estimated_saving g ~ops ~eff in
-    let cached = Atomic.get dispatch_cache in
-    let est = if cached > 0.0 then cached else default_dispatch_ns in
-    saving > overhead_factor *. est
-
-  let worth_parallel t g ~ops =
-    (* a pool can be oversubscribed (jobs=4 on a 1-core host): only the
-       hardware parallelism can actually shorten the wall clock *)
-    let eff = min t.pjobs (Domain.recommended_domain_count ()) in
-    eff > 1 && ops > 0
-    && estimated_saving g ~ops ~eff > overhead_factor *. dispatch_ns t
-
-  let choose t g ~ops = if worth_parallel t g ~ops then t else sequential
-
-  (* Feedback from a measured *sequential* run (parallel wall times say
-     nothing about the sequential cost the decision needs).  Exponential
-     blend so one noisy run cannot whipsaw the threshold. *)
-  let observe g ~ops ~wall_s =
-    if ops > 0 && wall_s > 0.0 then begin
-      let measured = wall_s *. 1e9 /. float_of_int ops in
-      let old = Atomic.get g.op_ns in
-      Atomic.set g.op_ns (0.5 *. (old +. measured))
-    end
-end
-
 let default_jobs () =
   match Sys.getenv_opt "BOSPHORUS_JOBS" with
   | Some s -> (

@@ -19,6 +19,11 @@
     - {b Reuse.}  [get ~jobs] hands out views onto one process-global
       worker set (grown on demand, reaped at exit), so hot kernels can
       request parallelism per call without paying a domain spawn.
+    - {b Callers own granularity.}  Each parallel kernel compares its
+      work size against a fixed cutoff ([Gf2.Matrix.m4rm_parallel_worthwhile],
+      [Bosphorus.Xl.expand_parallel_worthwhile],
+      [Bosphorus.Linearize.build_parallel_worthwhile]) before calling
+      {!get}, so a call too small to amortise dispatch spawns no domain.
 
     The caller participates: while awaiting its futures it pops and runs
     queued tasks, so nested [run] calls from inside tasks cannot deadlock
@@ -120,64 +125,6 @@ val chunk_ranges : chunks:int -> lo:int -> hi:int -> (int * int) list
 (** [chunk_list ~chunks xs] cuts [xs] into at most [chunks] contiguous
     chunks in order; concatenating them restores [xs]. *)
 val chunk_list : chunks:int -> 'a list -> 'a list list
-
-(** Granularity auto-tuning: decide, from measured numbers, whether a
-    kernel invocation is big enough to be worth dispatching on the pool.
-
-    The dispatch round-trip (queue mutex, worker wake-up, futures, joins)
-    is measured once per process on the live pool; each kernel keeps a
-    {!gauge} — an adaptive estimate of its sequential cost per work unit —
-    and {!choose} returns the sequential pool whenever the estimated
-    parallel saving cannot cover a safety multiple of the dispatch cost.
-    Kernels report measured sequential runs back through {!observe}, so
-    the threshold tracks this host rather than a baked-in constant.
-    Decisions never change results (both pools compute bit-identical
-    outputs); they only change where the work runs. *)
-module Grain : sig
-  type gauge
-
-  (** [gauge ~name ~default_op_ns] makes a per-kernel cost gauge seeded
-      with a rough sequential cost per work unit in nanoseconds; the seed
-      only matters until the first {!observe}. *)
-  val gauge : name:string -> default_op_ns:float -> gauge
-
-  val name : gauge -> string
-
-  (** Current sequential-cost estimate, ns per work unit. *)
-  val op_ns : gauge -> float
-
-  (** Measured pool dispatch round-trip in ns (0 for sequential pools);
-      measured on first use, cached for the process lifetime. *)
-  val dispatch_ns : t -> float
-
-  (** [worth_parallel t g ~ops] is [true] when an invocation of [ops]
-      work units should be dispatched on [t] rather than run inline:
-      the estimated parallel saving must beat the measured dispatch
-      cost with margin.  Effective parallelism is clamped to
-      [Domain.recommended_domain_count ()] — an oversubscribed pool on
-      a small host stays inline, whatever its [jobs]. *)
-  val worth_parallel : t -> gauge -> ops:int -> bool
-
-  (** [worth_parallel_jobs ~jobs g ~ops] is the same decision made from
-      the requested width alone, {e without} creating or growing a pool.
-      Kernels must consult this before calling {!get}: on OCaml 5 every
-      spawned domain participates in each stop-the-world minor
-      collection, so a probe that spawns [jobs - 1] idle domains taxes
-      the very sequential run it decides on.  Uses the process-wide
-      cached dispatch measurement when one exists, else a conservative
-      default (biasing cold processes toward inline); the real
-      measurement happens on the first genuine parallel dispatch and is
-      cached for the process lifetime — probe cost stays bounded and
-      amortised. *)
-  val worth_parallel_jobs : jobs:int -> gauge -> ops:int -> bool
-
-  (** [choose t g ~ops] is [t] when parallelism is worth it, else the
-      sequential pool. *)
-  val choose : t -> gauge -> ops:int -> t
-
-  (** [observe g ~ops ~wall_s] feeds back a measured sequential run. *)
-  val observe : gauge -> ops:int -> wall_s:float -> unit
-end
 
 (** Default parallel width: the [BOSPHORUS_JOBS] environment variable if
     set to a positive integer, else [Domain.recommended_domain_count ()]. *)

@@ -39,10 +39,15 @@ let config = function
   | Lingeling -> lingeling_config
   | Cms5 -> cms5_config
 
-let run_solver ?conflict_budget ?time_budget_s config f =
+let run_solver ?conflict_budget ?time_budget_s ?(xors = []) config f =
   let s = Solver.create ~config ~nvars:(Cnf.Formula.nvars f) () in
-  if not (Solver.add_formula s f) then
-    { result = Types.Unsat; stats = Some (Solver.stats s) }
+  let ok =
+    Solver.add_formula s f
+    && List.for_all
+         (fun x -> Solver.add_xor s ~vars:x.Xor_module.vars ~parity:x.Xor_module.parity)
+         xors
+  in
+  if not ok then { result = Types.Unsat; stats = Some (Solver.stats s) }
   else
     let result = Solver.solve ?conflict_budget ?time_budget_s s in
     { result; stats = Some (Solver.stats s) }
@@ -60,25 +65,10 @@ let with_preprocessing ?conflict_budget ?time_budget_s ~bve config f =
       | Types.Unsat | Types.Undecided -> out)
 
 let cms5_solve ?conflict_budget ?time_budget_s f =
-  (* recover XOR constraints, Gauss-Jordan them for cheap derived facts,
-     and hand the rows to the solver's native in-search XOR engine *)
-  let xors = Xor_module.recover f in
-  match Xor_module.derived_facts ~nvars:(Cnf.Formula.nvars f) xors with
-  | `Unsat -> { result = Types.Unsat; stats = None }
-  | `Clauses facts ->
-      let f = List.fold_left Cnf.Formula.add_clause f facts in
-      let s = Solver.create ~config:cms5_config ~nvars:(Cnf.Formula.nvars f) () in
-      let ok =
-        Solver.add_formula s f
-        && List.for_all
-             (fun x ->
-               Solver.add_xor s ~vars:x.Xor_module.vars ~parity:x.Xor_module.parity)
-             xors
-      in
-      if not ok then { result = Types.Unsat; stats = Some (Solver.stats s) }
-      else
-        let result = Solver.solve ?conflict_budget ?time_budget_s s in
-        { result; stats = Some (Solver.stats s) }
+  (* recover XOR constraints and hand the rows to the solver's native
+     in-search XOR engine, whose level-0 Gauss-Jordan pass at solve entry
+     turns implied units into root assignments and 1 = 0 into UNSAT *)
+  run_solver ?conflict_budget ?time_budget_s ~xors:(Xor_module.recover f) cms5_config f
 
 let solve ?conflict_budget ?time_budget_s profile f =
   match profile with

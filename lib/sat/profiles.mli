@@ -9,8 +9,9 @@
     - {!Minisat}: the plain core, MiniSat-like defaults, no preprocessing.
     - {!Lingeling}: SatELite-style preprocessing (subsumption + bounded
       variable elimination) and a more aggressive search configuration.
-    - {!Cms5}: light preprocessing plus XOR recovery with Gauss–Jordan
-      elimination feeding derived facts to the search. *)
+    - {!Cms5}: XOR recovery from the clauses; the recovered rows go to
+      the core's in-search Gauss–Jordan engine ({!Parity}) alongside the
+      formula. *)
 
 type profile = Minisat | Lingeling | Cms5
 

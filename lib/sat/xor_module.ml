@@ -99,34 +99,6 @@ let recover ?(max_arity = 5) f =
       if check 1 then make_xor ~vars ~parity:false :: acc else acc)
     groups []
 
-let gauss ~nvars xors =
-  (* columns 0..nvars-1 are variables; column nvars is the constant *)
-  let rows =
-    List.map
-      (fun x ->
-        let row = Gf2.Bitvec.create (nvars + 1) in
-        List.iter (fun v -> Gf2.Bitvec.set row v true) x.vars;
-        Gf2.Bitvec.set row nvars x.parity;
-        row)
-      xors
-  in
-  let m = Gf2.Matrix.of_rows ~cols:(nvars + 1) rows in
-  ignore (Gf2.Matrix.rref_m4rm m);
-  let reduced = Gf2.Matrix.nonzero_rows m in
-  let inconsistent =
-    List.exists
-      (fun r -> Gf2.Bitvec.popcount r = 1 && Gf2.Bitvec.get r nvars)
-      reduced
-  in
-  if inconsistent then `Unsat
-  else
-    `Reduced
-      (List.map
-         (fun r ->
-           let vars = List.filter (fun i -> i < nvars) (Gf2.Bitvec.to_list r) in
-           { vars; parity = Gf2.Bitvec.get r nvars })
-         reduced)
-
 let clauses_of_xor x =
   let vars = Array.of_list x.vars in
   let k = Array.length vars in
@@ -146,10 +118,3 @@ let clauses_of_xor x =
     done;
     !clauses
   end
-
-let derived_facts ~nvars xors =
-  match gauss ~nvars xors with
-  | `Unsat -> `Unsat
-  | `Reduced rows ->
-      let short = List.filter (fun x -> List.length x.vars <= 2) rows in
-      `Clauses (List.concat_map clauses_of_xor short)

@@ -1,13 +1,12 @@
-(** XOR-constraint recovery and Gaussian elimination over recovered XORs —
-    the feature that distinguishes the CryptoMiniSat-style solver profile
-    (the paper's Section I notes CryptoMiniSat5 "natively performs
-    Gauss-Jordan elimination").
+(** XOR-constraint recovery from CNF — the feature that distinguishes the
+    CryptoMiniSat-style solver profile (the paper's Section I notes
+    CryptoMiniSat5 "natively performs Gauss-Jordan elimination").
 
     A CNF encodes the constraint [x1 ⊕ ... ⊕ xk = parity] as the
     [2^(k-1)] clauses forbidding every assignment of the wrong parity;
-    {!recover} detects complete such families, and {!gauss} row-reduces the
-    recovered system to expose implied units, equivalences and
-    inconsistency. *)
+    {!recover} detects complete such families.  The recovered rows are
+    handed to {!Solver.add_xor}, whose {!Parity} engine Gauss-Jordan
+    eliminates them at level 0 and propagates them during search. *)
 
 type xor = { vars : int list; parity : bool }
 (** [x1 ⊕ ... ⊕ xn = parity]; [vars] sorted, distinct, non-empty. *)
@@ -24,15 +23,5 @@ val pp_xor : Format.formatter -> xor -> unit
     [2..max_arity] (default 5) whose full clause encoding appears in [f]. *)
 val recover : ?max_arity:int -> Cnf.Formula.t -> xor list
 
-(** [gauss ~nvars xors] Gauss–Jordan-eliminates the XOR system.  Returns
-    [`Unsat] on an inconsistent row (the learnt fact 1 = 0), otherwise
-    [`Reduced rows] in reduced row echelon form. *)
-val gauss : nvars:int -> xor list -> [ `Unsat | `Reduced of xor list ]
-
 (** [clauses_of_xor x] is the CNF encoding of [x]: [2^(k-1)] clauses. *)
 val clauses_of_xor : xor -> Cnf.Clause.t list
-
-(** [derived_facts ~nvars xors] runs {!gauss} and returns the unit and
-    binary XOR rows of the reduced system as CNF clauses — the cheap,
-    always-profitable facts to hand a CDCL solver. *)
-val derived_facts : nvars:int -> xor list -> [ `Unsat | `Clauses of Cnf.Clause.t list ]

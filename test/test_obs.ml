@@ -1,9 +1,8 @@
 (* Tests for the observability layer: span tracing (Obs.Trace), the
    metrics registry (Obs.Metrics), crash-safe sinks (Obs.Sink), and the
-   Json_out float-hygiene fix.  The JSON documents are validated with a
-   mini recursive-descent parser (no JSON library is vendored), which
-   notably rejects the bare [inf]/[nan] tokens the old emitter could
-   produce. *)
+   Json_out float-hygiene fix.  The JSON documents are validated with the
+   strict Harness.Json_in parser, which notably rejects the bare
+   [inf]/[nan] tokens the old emitter could produce. *)
 
 module Trace = Obs.Trace
 module Metrics = Obs.Metrics
@@ -29,173 +28,20 @@ let with_clean_obs f =
     f
 
 (* ------------------------------------------------------------------ *)
-(* Mini JSON parser                                                    *)
+(* JSON accessors                                                      *)
 (* ------------------------------------------------------------------ *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
+let member k v =
+  match Harness.Json_in.member k v with
+  | Some x -> x
+  | None -> Alcotest.failf "missing member %S" k
 
-exception Bad_json of string
+let expect what conv v =
+  match conv v with Some x -> x | None -> Alcotest.failf "not %s" what
 
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some 'n' -> Buffer.add_char b '\n'
-          | Some 't' -> Buffer.add_char b '\t'
-          | Some 'r' -> Buffer.add_char b '\r'
-          | Some 'b' -> Buffer.add_char b '\b'
-          | Some 'f' -> Buffer.add_char b '\012'
-          | Some '/' -> Buffer.add_char b '/'
-          | Some '"' -> Buffer.add_char b '"'
-          | Some '\\' -> Buffer.add_char b '\\'
-          | Some 'u' ->
-              (* decoded only far enough for these documents: consume the
-                 four hex digits, emit '?' for non-ASCII *)
-              if !pos + 4 >= n then fail "truncated \\u escape";
-              let hex = String.sub s (!pos + 1) 4 in
-              (match int_of_string_opt ("0x" ^ hex) with
-              | None -> fail "bad \\u escape"
-              | Some code ->
-                  if code < 0x80 then Buffer.add_char b (Char.chr code)
-                  else Buffer.add_char b '?');
-              pos := !pos + 4
-          | _ -> fail "bad escape");
-          advance ();
-          go ()
-      | Some c ->
-          advance ();
-          Buffer.add_char b c;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      advance ()
-    done;
-    let tok = String.sub s start (!pos - start) in
-    match float_of_string_opt tok with
-    | Some f when Float.is_finite f -> Num f
-    | _ -> fail (Printf.sprintf "bad number %S" tok)
-  in
-  let literal word v =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else fail (Printf.sprintf "bad literal (wanted %s)" word)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> fail "expected , or } in object"
-          in
-          Obj (members [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected , or ] in array"
-          in
-          Arr (elements [])
-        end
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected character %c" c)
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let member k = function
-  | Obj fields -> (
-      match List.assoc_opt k fields with
-      | Some v -> v
-      | None -> raise (Bad_json (Printf.sprintf "missing member %S" k)))
-  | _ -> raise (Bad_json (Printf.sprintf "not an object (looking up %S)" k))
-
-let as_arr = function Arr l -> l | _ -> raise (Bad_json "not an array")
-let as_str = function Str s -> s | _ -> raise (Bad_json "not a string")
-let as_num = function Num f -> f | _ -> raise (Bad_json "not a number")
+let as_arr = expect "an array" Harness.Json_in.to_list_opt
+let as_str = expect "a string" Harness.Json_in.to_string_opt
+let as_num = expect "a number" Harness.Json_in.to_float_opt
 
 (* ------------------------------------------------------------------ *)
 (* Trace: recording semantics                                          *)
@@ -321,7 +167,7 @@ let test_trace_export_parses_matched () =
         (stack_matched (List.rev evs)))
     by_tid;
   (* the export parses and B/E counts match *)
-  let doc = parse_json (Trace.to_json ()) in
+  let doc = Harness.Json_in.parse (Trace.to_json ()) in
   let events = as_arr (member "traceEvents" doc) in
   check "export has events" true (events <> []);
   let count ph =
@@ -343,7 +189,7 @@ let test_trace_open_span_export_is_matched () =
      synthetic truncation-marked Ends — the crash-time file shape *)
   let doc =
     Trace.with_span ~name:"outer" (fun () ->
-        Trace.with_span ~name:"inner" (fun () -> parse_json (Trace.to_json ())))
+        Trace.with_span ~name:"inner" (fun () -> Harness.Json_in.parse (Trace.to_json ())))
   in
   let events = as_arr (member "traceEvents" doc) in
   let count ph =
@@ -355,8 +201,9 @@ let test_trace_open_span_export_is_matched () =
     List.filter
       (fun e ->
         as_str (member "ph" e) = "E"
-        && try as_str (member "truncated" (member "args" e)) = "true"
-           with Bad_json _ -> false)
+        && Option.bind (Harness.Json_in.member "args" e)
+             (Harness.Json_in.member "truncated")
+           = Some (Harness.Json_out.Value.String "true"))
       events
   in
   check_int "synthetic ends are marked truncated" 2 (List.length truncated)
@@ -376,7 +223,7 @@ let test_trace_capacity_drops_but_stays_matched () =
          done));
   check "spans were dropped" true (Trace.dropped () > 0);
   check "buffer stayed near capacity" true (Trace.n_events () - before <= 64 + 4);
-  let doc = parse_json (Trace.to_json ()) in
+  let doc = Harness.Json_in.parse (Trace.to_json ()) in
   let events = as_arr (member "traceEvents" doc) in
   let count ph =
     List.length (List.filter (fun e -> as_str (member "ph" e) = ph) events)
@@ -441,7 +288,7 @@ let test_metrics_export_parses () =
   let h = Metrics.histogram "test.export_hist" in
   Metrics.observe h 2.0;
   Metrics.observe h 4.0;
-  let doc = parse_json (Metrics.to_json ()) in
+  let doc = Harness.Json_in.parse (Metrics.to_json ()) in
   check "counter exported" true
     (as_num (member "test.export_counter" (member "counters" doc)) = 3.0);
   let gauge = member "test.export_gauge" (member "gauges" doc) in
@@ -479,7 +326,7 @@ let test_json_out_clamps_non_finite () =
   let s = Harness.Json_out.to_string t in
   (* the old emitter printed wall_s with %.6f, producing the bare token
      "inf" — the whole point of the fix is that this parses *)
-  let doc = parse_json s in
+  let doc = Harness.Json_in.parse s in
   let r = List.hd (as_arr (member "records" doc)) in
   check "infinite wall_s clamps to a finite number" true
     (as_num (member "wall_s" r) = 1e308);
@@ -510,7 +357,7 @@ let test_json_out_metrics_section () =
   Metrics.incr c ~by:7;
   let t = Harness.Json_out.create () in
   Harness.Json_out.add t ~experiment:"e" ~family:"f" ~wall_s:0.5 ~jobs:2 ();
-  let doc = parse_json (Harness.Json_out.to_string ~metrics:(Metrics.to_extras ()) t) in
+  let doc = Harness.Json_in.parse (Harness.Json_out.to_string ~metrics:(Metrics.to_extras ()) t) in
   check "metrics section merged into the bench document" true
     (as_num (member "test.json_out_counter" (member "metrics" doc)) = 7.0)
 

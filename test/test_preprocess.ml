@@ -1,4 +1,4 @@
-(* Tests for CNF preprocessing (Simp), XOR recovery/GJE, and profiles. *)
+(* Tests for CNF preprocessing (Simp), XOR recovery, and profiles. *)
 
 module L = Cnf.Lit
 module C = Cnf.Clause
@@ -181,6 +181,13 @@ let test_xor_duplicates_cancel () =
   let x = X.make_xor ~vars:[ 3; 3; 5 ] ~parity:true in
   Alcotest.(check (list int)) "x3 cancels" [ 5 ] x.X.vars
 
+(* The Cms5 profile recovers XOR rows from their clause encodings and
+   hands them to the solver's parity engine, whose level-0 Gauss-Jordan
+   pass settles these small systems. *)
+let cms5_of_xors ~nvars xors =
+  let f = F.create ~nvars (List.concat_map X.clauses_of_xor xors) in
+  (f, Sat.Profiles.solve Sat.Profiles.Cms5 f)
+
 let test_gauss_chain () =
   (* x0+x1=1, x1+x2=0, x2=1  =>  x0=0, x1=1, x2=1 *)
   let xors =
@@ -190,18 +197,13 @@ let test_gauss_chain () =
       X.make_xor ~vars:[ 2 ] ~parity:true;
     ]
   in
-  match X.gauss ~nvars:3 xors with
-  | `Unsat -> Alcotest.fail "consistent system"
-  | `Reduced rows ->
-      check_int "three unit rows" 3 (List.length rows);
-      List.iter
-        (fun r ->
-          match r.X.vars with
-          | [ 0 ] -> check "x0=0" false r.X.parity
-          | [ 1 ] -> check "x1=1" true r.X.parity
-          | [ 2 ] -> check "x2=1" true r.X.parity
-          | _ -> Alcotest.fail "expected unit rows")
-        rows
+  match cms5_of_xors ~nvars:3 xors with
+  | f, { Sat.Profiles.result = Sat.Types.Sat model; _ } ->
+      check "model satisfies the formula" true (F.eval (fun v -> model.(v)) f);
+      check "x0=0" false model.(0);
+      check "x1=1" true model.(1);
+      check "x2=1" true model.(2)
+  | _ -> Alcotest.fail "consistent system"
 
 let test_gauss_inconsistent () =
   let xors =
@@ -210,15 +212,18 @@ let test_gauss_inconsistent () =
       X.make_xor ~vars:[ 0; 1 ] ~parity:false;
     ]
   in
-  check "unsat" true (X.gauss ~nvars:2 xors = `Unsat)
+  match cms5_of_xors ~nvars:2 xors with
+  | _, { Sat.Profiles.result = Sat.Types.Unsat; stats = Some st } ->
+      check_int "refuted without search" 0 st.Sat.Types.conflicts
+  | _ -> Alcotest.fail "inconsistent system"
 
 let test_gauss_redundant () =
   let xors =
     [ X.make_xor ~vars:[ 0; 1 ] ~parity:true; X.make_xor ~vars:[ 0; 1 ] ~parity:true ]
   in
-  match X.gauss ~nvars:2 xors with
-  | `Unsat -> Alcotest.fail "consistent"
-  | `Reduced rows -> check_int "one row" 1 (List.length rows)
+  match cms5_of_xors ~nvars:2 xors with
+  | _, { Sat.Profiles.result = Sat.Types.Sat _; _ } -> ()
+  | _ -> Alcotest.fail "consistent"
 
 (* ------------------------------------------------------------------ *)
 (* Profiles                                                            *)
@@ -302,8 +307,8 @@ let prop_profiles_match_brute_force =
         Sat.Profiles.all)
 
 let prop_gauss_matches_brute_force =
-  (* the Gauss-Jordan verdict on a random XOR system agrees with brute
-     force over its clause encoding *)
+  (* the Cms5 verdict on a random XOR system's clause encoding agrees
+     with brute force *)
   let gen =
     QCheck.Gen.(
       let* nvars = int_range 2 8 in
@@ -337,16 +342,12 @@ let prop_gauss_matches_brute_force =
             if x.X.vars = [] && not x.X.parity then None else Some x)
           xors
       in
-      let clauses = List.concat_map X.clauses_of_xor xors in
-      let f = F.create ~nvars clauses in
+      let f, out = cms5_of_xors ~nvars xors in
       let expected = F.brute_force_sat f = Some true in
-      match X.gauss ~nvars xors with
-      | `Unsat -> not expected
-      | `Reduced rows ->
-          (* a consistent RREF has no 1=0 row, and since XOR systems are
-             linear, consistency is equivalent to satisfiability *)
-          expected
-          && List.for_all (fun r -> r.X.vars <> [] || not r.X.parity) rows)
+      match out.Sat.Profiles.result with
+      | Sat.Types.Sat model -> expected && F.eval (fun v -> model.(v)) f
+      | Sat.Types.Unsat -> not expected
+      | Sat.Types.Undecided -> false)
 
 let prop_cnf_to_anf_cut_bound =
   (* every polynomial emitted by the CNF-to-ANF conversion respects the

@@ -121,10 +121,6 @@ let test_default_jobs_positive () =
   Alcotest.(check bool) "default_jobs >= 1" true (Pool.default_jobs () >= 1)
 
 (* ------------------------------------------------------------------ *)
-(* Grain: measured granularity auto-tuning                              *)
-(* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
 (* run_pinned: dedicated domains for long tasks                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -202,63 +198,6 @@ let test_run_pinned_cancel_skips () =
       | Error e -> Alcotest.fail ("wrong exception: " ^ Printexc.to_string e))
     results
 
-let test_worth_parallel_jobs_no_pool () =
-  let g = Pool.Grain.gauge ~name:"test.worth_jobs" ~default_op_ns:1000.0 in
-  Alcotest.(check bool) "jobs=1 never parallel" false
-    (Pool.Grain.worth_parallel_jobs ~jobs:1 g ~ops:1_000_000_000);
-  Alcotest.(check bool) "zero work stays inline" false
-    (Pool.Grain.worth_parallel_jobs ~jobs:4 g ~ops:0);
-  let host_parallel = Domain.recommended_domain_count () > 1 in
-  Alcotest.(check bool) "huge work dispatches iff the host can"
-    host_parallel
-    (Pool.Grain.worth_parallel_jobs ~jobs:4 g ~ops:1_000_000_000);
-  (* the probe decision agrees with the pool-in-hand decision *)
-  let par = Pool.get ~jobs:2 in
-  List.iter
-    (fun ops ->
-      Alcotest.(check bool)
-        (Printf.sprintf "agrees with worth_parallel at ops=%d" ops)
-        (Pool.Grain.worth_parallel par g ~ops)
-        (Pool.Grain.worth_parallel_jobs ~jobs:2 g ~ops))
-    [ 0; 1; 1_000; 1_000_000_000 ]
-
-let test_grain_observe_ema () =
-  let g = Pool.Grain.gauge ~name:"test.ema" ~default_op_ns:100.0 in
-  Alcotest.(check (float 1e-9)) "seeded" 100.0 (Pool.Grain.op_ns g);
-  (* an observation at the seeded rate leaves the estimate unchanged;
-     1000 ops in 100 microseconds = 100 ns/op *)
-  Pool.Grain.observe g ~ops:1000 ~wall_s:1e-4;
-  Alcotest.(check (float 1e-6)) "same-rate observation" 100.0 (Pool.Grain.op_ns g);
-  (* a 300 ns/op observation moves the EMA to the midpoint *)
-  Pool.Grain.observe g ~ops:1000 ~wall_s:3e-4;
-  Alcotest.(check (float 1e-6)) "EMA midpoint" 200.0 (Pool.Grain.op_ns g);
-  (* zero ops / zero wall are ignored, not divide-by-zero *)
-  Pool.Grain.observe g ~ops:0 ~wall_s:1.0;
-  Pool.Grain.observe g ~ops:100 ~wall_s:0.0;
-  Alcotest.(check (float 1e-6)) "degenerate observations ignored" 200.0
-    (Pool.Grain.op_ns g)
-
-let test_grain_worth_parallel () =
-  let g = Pool.Grain.gauge ~name:"test.worth" ~default_op_ns:1000.0 in
-  (* a sequential pool has nothing to win *)
-  let seq = Pool.get ~jobs:1 in
-  Alcotest.(check bool) "jobs=1 never parallel" false
-    (Pool.Grain.worth_parallel seq g ~ops:1_000_000_000);
-  let par = Pool.get ~jobs:2 in
-  Alcotest.(check bool) "zero work stays inline" false
-    (Pool.Grain.worth_parallel par g ~ops:0);
-  (* a second of estimated sequential work dwarfs any dispatch cost —
-     but an oversubscribed pool on a 1-core host still stays inline *)
-  let host_parallel = Domain.recommended_domain_count () > 1 in
-  Alcotest.(check bool) "huge work dispatches iff the host can parallelize"
-    host_parallel
-    (Pool.Grain.worth_parallel par g ~ops:1_000_000_000);
-  Alcotest.(check int) "choose agrees for huge work"
-    (if host_parallel then 2 else 1)
-    (Pool.jobs (Pool.Grain.choose par g ~ops:1_000_000_000));
-  Alcotest.(check int) "choose falls back for no work" 1
-    (Pool.jobs (Pool.Grain.choose par g ~ops:0))
-
 let suite =
   [
     ( "runtime.pool",
@@ -286,12 +225,5 @@ let suite =
           test_run_pinned_with_inner_queue_work;
         Alcotest.test_case "pre-set token skips slots" `Quick
           test_run_pinned_cancel_skips;
-      ] );
-    ( "runtime.grain",
-      [
-        Alcotest.test_case "observe feeds the EMA" `Quick test_grain_observe_ema;
-        Alcotest.test_case "worth_parallel thresholds" `Quick test_grain_worth_parallel;
-        Alcotest.test_case "worth_parallel_jobs probes without a pool" `Quick
-          test_worth_parallel_jobs_no_pool;
       ] );
   ]

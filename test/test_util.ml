@@ -1,63 +1,10 @@
-(* Tests for the solver's utility structures: growable vectors and the
-   activity-ordered variable heap. *)
+(* Tests for the solver's utility structures: the growable int vector
+   (Ivec) and the activity-ordered variable heap. *)
 
-module V = Sat.Vec
 module H = Sat.Var_heap
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-(* ------------------------------------------------------------------ *)
-(* Vec                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_vec_push_get () =
-  let v = V.create ~dummy:(-1) in
-  check_int "empty" 0 (V.size v);
-  for i = 0 to 99 do
-    V.push v i
-  done;
-  check_int "size" 100 (V.size v);
-  check_int "get 0" 0 (V.get v 0);
-  check_int "get 99" 99 (V.get v 99);
-  V.set v 5 500;
-  check_int "set" 500 (V.get v 5)
-
-let test_vec_bounds () =
-  let v = V.of_list ~dummy:0 [ 1; 2; 3 ] in
-  Alcotest.check_raises "get oob"
-    (Invalid_argument "Vec: index 3 out of range (size 3)") (fun () ->
-      ignore (V.get v 3));
-  Alcotest.check_raises "set negative"
-    (Invalid_argument "Vec: index -1 out of range (size 3)") (fun () ->
-      V.set v (-1) 0);
-  Alcotest.check_raises "bad shrink" (Invalid_argument "Vec.shrink") (fun () -> V.shrink v 4)
-
-let test_vec_pop_last () =
-  let v = V.of_list ~dummy:0 [ 1; 2; 3 ] in
-  check_int "last" 3 (V.last v);
-  check_int "pop" 3 (V.pop v);
-  check_int "size after pop" 2 (V.size v);
-  V.clear v;
-  check_int "cleared" 0 (V.size v);
-  Alcotest.check_raises "pop empty" (Invalid_argument "Vec.pop: empty") (fun () ->
-      ignore (V.pop v))
-
-let test_vec_filter_in_place () =
-  let v = V.of_list ~dummy:0 [ 1; 2; 3; 4; 5; 6 ] in
-  V.filter_in_place (fun x -> x mod 2 = 0) v;
-  Alcotest.(check (list int)) "evens kept in order" [ 2; 4; 6 ] (V.to_list v)
-
-let test_vec_sort () =
-  let v = V.of_list ~dummy:0 [ 5; 1; 4; 2; 3 ] in
-  V.sort_in_place Int.compare v;
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 4; 5 ] (V.to_list v)
-
-let test_vec_iter () =
-  let v = V.of_list ~dummy:0 [ 10; 20; 30 ] in
-  let sum = ref 0 in
-  V.iter (fun x -> sum := !sum + x) v;
-  check_int "sum" 60 !sum
 
 (* ------------------------------------------------------------------ *)
 (* Var_heap                                                            *)
@@ -300,15 +247,6 @@ let prop_heap_is_sorting =
 
 let suite =
   [
-    ( "sat.vec",
-      [
-        Alcotest.test_case "push/get/set" `Quick test_vec_push_get;
-        Alcotest.test_case "bounds" `Quick test_vec_bounds;
-        Alcotest.test_case "pop/last/clear" `Quick test_vec_pop_last;
-        Alcotest.test_case "filter_in_place" `Quick test_vec_filter_in_place;
-        Alcotest.test_case "sort_in_place" `Quick test_vec_sort;
-        Alcotest.test_case "iter" `Quick test_vec_iter;
-      ] );
     ( "sat.var_heap",
       [
         Alcotest.test_case "max order" `Quick test_heap_max_order;
