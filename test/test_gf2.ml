@@ -459,27 +459,15 @@ let test_m4rm_nonaligned_parallel () =
   Alcotest.(check string) "jobs=3 = jobs=1" (render m1) (render m3)
 
 let test_m4rm_parallel_worthwhile_gate () =
-  (* the three kernels' parallel cutoffs: jobs=1 never dispatches, zero
-     work stays inline, and huge work at jobs>1 dispatches exactly when
-     the host can run domains in parallel *)
-  let host_parallel = Domain.recommended_domain_count () > 1 in
+  (* jobs=1 never dispatches, zero work stays inline, and huge shapes at
+     jobs>1 dispatch exactly when the host can run domains in parallel;
+     the other kernels' cutoffs are checked in the runtime.grain tests *)
   let m4rm ~rows ~cols ~jobs = Gf2.Matrix.m4rm_parallel_worthwhile ~rows ~cols ~jobs () in
-  let expand ~n_polys ~jobs =
-    Bosphorus.Xl.expand_parallel_worthwhile ~n_polys ~n_multipliers:1_000 ~jobs ()
-  in
-  let build ~n_polys ~jobs = Bosphorus.Linearize.build_parallel_worthwhile ~n_polys ~jobs () in
-  check "m4rm: jobs=1 is never worthwhile" false (m4rm ~rows:1_000_000 ~cols:65_536 ~jobs:1);
-  check "m4rm: zero work stays inline" false (m4rm ~rows:0 ~cols:0 ~jobs:4);
-  check "m4rm: huge shape dispatches iff the host can" host_parallel
-    (m4rm ~rows:1_000_000 ~cols:65_536 ~jobs:4);
-  check "xl.expand: jobs=1 is never worthwhile" false (expand ~n_polys:1_000_000 ~jobs:1);
-  check "xl.expand: zero work stays inline" false (expand ~n_polys:0 ~jobs:4);
-  check "xl.expand: huge work dispatches iff the host can" host_parallel
-    (expand ~n_polys:1_000_000 ~jobs:4);
-  check "linearize.build: jobs=1 is never worthwhile" false (build ~n_polys:1_000_000 ~jobs:1);
-  check "linearize.build: zero work stays inline" false (build ~n_polys:0 ~jobs:4);
-  check "linearize.build: huge work dispatches iff the host can" host_parallel
-    (build ~n_polys:1_000_000 ~jobs:4)
+  check "jobs=1 is never worthwhile" false (m4rm ~rows:1_000_000 ~cols:65_536 ~jobs:1);
+  check "zero work stays inline" false (m4rm ~rows:0 ~cols:0 ~jobs:4);
+  check "huge shape at jobs=4 dispatches iff the host can parallelize"
+    (Domain.recommended_domain_count () > 1)
+    (m4rm ~rows:1_000_000 ~cols:65_536 ~jobs:4)
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest

@@ -121,6 +121,63 @@ let test_default_jobs_positive () =
   Alcotest.(check bool) "default_jobs >= 1" true (Pool.default_jobs () >= 1)
 
 (* ------------------------------------------------------------------ *)
+(* Grain: the kernels' fixed parallel cutoffs                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Each parallel kernel decides dispatch with a pool-free probe over its
+   work size and the requested jobs.  [size] scales the work linearly. *)
+let grain_probes =
+  [
+    ( "m4rm",
+      fun ~size ~jobs -> Gf2.Matrix.m4rm_parallel_worthwhile ~rows:size ~cols:size ~jobs () );
+    ( "xl.expand",
+      fun ~size ~jobs ->
+        Bosphorus.Xl.expand_parallel_worthwhile ~n_polys:size ~n_multipliers:size ~jobs () );
+    ( "linearize.build",
+      fun ~size ~jobs -> Bosphorus.Linearize.build_parallel_worthwhile ~n_polys:size ~jobs () );
+  ]
+
+let test_grain_worth_parallel () =
+  let host_parallel = Domain.recommended_domain_count () > 1 in
+  List.iter
+    (fun (name, worth) ->
+      let check msg = Alcotest.(check bool) (name ^ ": " ^ msg) in
+      check "jobs=1 never parallel" false (worth ~size:1_000_000 ~jobs:1);
+      check "zero work stays inline" false (worth ~size:0 ~jobs:4);
+      check "huge work dispatches iff the host can parallelize" host_parallel
+        (worth ~size:1_000_000 ~jobs:4);
+      (* one threshold: once a size is worth dispatching, every larger
+         size is too *)
+      let sizes = List.init 2_000 Fun.id in
+      let flips =
+        List.fold_left
+          (fun (prev, n) size ->
+            let w = worth ~size ~jobs:4 in
+            (w, if w <> prev then n + 1 else n))
+          (false, 0) sizes
+        |> snd
+      in
+      check "a single cutoff in work size" true (flips <= 1))
+    grain_probes
+
+let test_worth_parallel_jobs_no_pool () =
+  (* the probes need no pool: past jobs=2 the answer depends only on the
+     work size and the host, never on how wide a pool was asked for *)
+  List.iter
+    (fun (name, worth) ->
+      List.iter
+        (fun size ->
+          let at2 = worth ~size ~jobs:2 in
+          List.iter
+            (fun jobs ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: size=%d jobs=%d agrees with jobs=2" name size jobs)
+                at2 (worth ~size ~jobs))
+            [ 3; 4; 16; 64 ])
+        [ 0; 1; 8; 50; 100; 1_000; 1_000_000 ])
+    grain_probes
+
+(* ------------------------------------------------------------------ *)
 (* run_pinned: dedicated domains for long tasks                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -225,5 +282,11 @@ let suite =
           test_run_pinned_with_inner_queue_work;
         Alcotest.test_case "pre-set token skips slots" `Quick
           test_run_pinned_cancel_skips;
+      ] );
+    ( "runtime.grain",
+      [
+        Alcotest.test_case "worth_parallel thresholds" `Quick test_grain_worth_parallel;
+        Alcotest.test_case "worth_parallel_jobs probes without a pool" `Quick
+          test_worth_parallel_jobs_no_pool;
       ] );
   ]
