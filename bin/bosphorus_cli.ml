@@ -220,6 +220,15 @@ let run_main input format_opt out_anf out_cnf solver budget no_learning lint aud
             clauses are not RUP-certifiable (use --gauss auto or off)")
     else Ok ()
   in
+  let* () =
+    let k = config.Bosphorus.Config.karnaugh_vars in
+    if k < 0 || k > Minimize.Quine_mccluskey.max_vars then
+      Error
+        (`Msg
+           (Printf.sprintf "-K %d is out of range: the Karnaugh-map bound must \
+                            be in 0..%d" k Minimize.Quine_mccluskey.max_vars))
+    else Ok ()
+  in
   arm_observability ~trace_path ~metrics_path ~budget_report_path;
   let* format =
     match format_opt with
@@ -360,7 +369,7 @@ let config_term =
   let m = Arg.(value & opt int default.xl_sample_bits & info [ "M" ] ~doc:"XL/ElimLin subsample bits (linearised size ~2^M).") in
   let dm = Arg.(value & opt int default.xl_expand_bits & info [ "delta-M" ] ~doc:"XL expansion allowance bits.") in
   let d = Arg.(value & opt int default.xl_degree & info [ "D" ] ~doc:"XL multiplier degree.") in
-  let k = Arg.(value & opt int default.karnaugh_vars & info [ "K" ] ~doc:"Karnaugh-map variable bound.") in
+  let k = Arg.(value & opt int default.karnaugh_vars & info [ "K" ] ~doc:"Karnaugh-map variable bound, 0..8.") in
   let l = Arg.(value & opt int default.xor_cut_length & info [ "L" ] ~doc:"XOR cutting length.") in
   let l' = Arg.(value & opt int default.clause_cut_positive & info [ "Lp" ] ~doc:"Clause-cutting positive-literal bound L'.") in
   let c0 = Arg.(value & opt int default.sat_budget_start & info [ "C" ] ~doc:"Initial SAT conflict budget.") in

@@ -91,7 +91,14 @@ let parse_file path =
       parse_string (really_input_string ic len))
 
 let write_string polys =
-  String.concat "\n" (List.map Poly.to_string polys) ^ "\n"
+  let b = Buffer.create 1024 in
+  List.iteri
+    (fun i p ->
+      if i > 0 then Buffer.add_char b '\n';
+      Poly.add_to_buffer b p)
+    polys;
+  Buffer.add_char b '\n';
+  Buffer.contents b
 
 let write_file path polys =
   let oc = open_out path in

@@ -74,13 +74,19 @@ let hash (m : t) = Hashtbl.hash m
 
 let eval assignment m = Array.for_all assignment m
 
-let pp ppf m =
-  if Array.length m = 0 then Format.pp_print_char ppf '1'
+let add_to_buffer b m =
+  if Array.length m = 0 then Buffer.add_char b '1'
   else
     Array.iteri
       (fun i x ->
-        if i > 0 then Format.pp_print_char ppf '*';
-        Format.fprintf ppf "x%d" x)
+        if i > 0 then Buffer.add_char b '*';
+        Buffer.add_char b 'x';
+        Buffer.add_string b (Int.to_string x))
       m
 
-let to_string m = Format.asprintf "%a" pp m
+let to_string m =
+  let b = Buffer.create 16 in
+  add_to_buffer b m;
+  Buffer.contents b
+
+let pp ppf m = Format.pp_print_string ppf (to_string m)

@@ -55,7 +55,9 @@ val hash : t -> int
 (** [eval assignment m] evaluates under [assignment] (total on [vars m]). *)
 val eval : (int -> bool) -> t -> bool
 
-(** Prints as [x1*x3] (or [1] for the constant). *)
-val pp : Format.formatter -> t -> unit
+(** Renders as [x1*x3] (or [1] for the constant); {!pp} and {!to_string}
+    print the same text. *)
+val add_to_buffer : Buffer.t -> t -> unit
 
+val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -149,13 +149,18 @@ let compare (a : t) (b : t) =
 
 let hash (p : t) = Hashtbl.hash (Array.map Monomial.hash p)
 
-let pp ppf p =
-  if Array.length p = 0 then Format.pp_print_char ppf '0'
+let add_to_buffer b p =
+  if Array.length p = 0 then Buffer.add_char b '0'
   else
     Array.iteri
       (fun i m ->
-        if i > 0 then Format.pp_print_string ppf " + ";
-        Monomial.pp ppf m)
+        if i > 0 then Buffer.add_string b " + ";
+        Monomial.add_to_buffer b m)
       p
 
-let to_string p = Format.asprintf "%a" pp p
+let to_string p =
+  let b = Buffer.create 64 in
+  add_to_buffer b p;
+  Buffer.contents b
+
+let pp ppf p = Format.pp_print_string ppf (to_string p)

@@ -91,7 +91,9 @@ val compare : t -> t -> int
 
 val hash : t -> int
 
-(** Prints as e.g. [x1*x2 + x3 + 1]; the zero polynomial prints as [0]. *)
-val pp : Format.formatter -> t -> unit
+(** Renders as e.g. [x1*x2 + x3 + 1]; the zero polynomial renders as [0].
+    {!pp} and {!to_string} print the same text. *)
+val add_to_buffer : Buffer.t -> t -> unit
 
+val pp : Format.formatter -> t -> unit
 val to_string : t -> string

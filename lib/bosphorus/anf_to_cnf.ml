@@ -69,26 +69,49 @@ let monomial_aux_var st m =
       v
 
 (* distinct CNF variables a piece touches when treated as a function of
-   plain variables (Karnaugh path): monomial variables plus cut variables *)
+   plain variables (Karnaugh path): monomial variables plus cut variables,
+   ascending *)
 let piece_vars terms =
-  let module S = Set.Make (Int) in
-  let s =
-    List.fold_left
-      (fun s t ->
-        match t with
-        | Mono m -> List.fold_left (fun s x -> S.add x s) s (M.vars m)
-        | Cut_aux v -> S.add v s)
-      S.empty terms
-  in
-  S.elements s
+  List.sort_uniq Int.compare
+    (List.concat_map (function Mono m -> M.vars m | Cut_aux v -> [ v ]) terms)
 
-let eval_term assignment = function
-  | Mono m -> M.eval assignment m
-  | Cut_aux v -> assignment v
+(* Minimised Karnaugh maps, one table per domain (a daemon worker, or a CLI
+   or bench process), keyed on the piece's variable count k and its 2^k-bit
+   truth table.  A value packs the cover as 2 bytes (mask, value) per cube,
+   in Espresso's order, so the table holds no pointers for the GC to scan.
+   Espresso is a pure function of (k, on-set): a hit emits exactly the
+   clauses a miss would. *)
+let memo_cap = 4096
 
-(* Karnaugh-map path: enumerate the on-set of the piece (the forbidden
-   assignments), minimise it, and negate each cube into a clause. *)
-let karnaugh_piece st terms parity =
+let memo : (string, string) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
+
+let minimised_cover ~k key =
+  let tbl = Domain.DLS.get memo in
+  match Hashtbl.find_opt tbl key with
+  | Some cover -> cover
+  | None ->
+      let on_set = ref [] in
+      for tm = (1 lsl k) - 1 downto 0 do
+        if Char.code key.[1 + (tm lsr 3)] lsr (tm land 7) land 1 = 1 then
+          on_set := tm :: !on_set
+      done;
+      let cubes = Minimize.Espresso.minimise ~nvars:k ~on_set:!on_set in
+      let cover = Bytes.create (2 * List.length cubes) in
+      List.iteri
+        (fun j (c : Minimize.Cube.t) ->
+          Bytes.set cover (2 * j) (Char.chr c.mask);
+          Bytes.set cover ((2 * j) + 1) (Char.chr c.value))
+        cubes;
+      let cover = Bytes.unsafe_to_string cover in
+      if Hashtbl.length tbl >= memo_cap then Hashtbl.reset tbl;
+      Hashtbl.replace tbl key cover;
+      cover
+
+(* Karnaugh-map path: tabulate the on-set of the piece (the forbidden
+   assignments), minimise it, and negate each cube into a clause.  [vars]
+   is {!piece_vars}, at most {!Minimize.Quine_mccluskey.max_vars} long. *)
+let karnaugh_piece st vars terms parity =
   st.n_karnaugh <- st.n_karnaugh + 1;
   (* A piece whose terms are all single CNF variables is itself an XOR
      row over those variables — record it (the minimised clauses below
@@ -109,29 +132,46 @@ let karnaugh_piece st terms parity =
          terms
      in
      note_xor st (Sat.Xor_module.make_xor ~vars ~parity));
-  let vars = Array.of_list (piece_vars terms) in
+  let vars = Array.of_list vars in
   let k = Array.length vars in
-  let index = Hashtbl.create 8 in
-  Array.iteri (fun i v -> Hashtbl.replace index v i) vars;
-  let on_set = ref [] in
-  for mask = 0 to (1 lsl k) - 1 do
-    let assignment v = mask lsr Hashtbl.find index v land 1 = 1 in
-    let value =
-      List.fold_left (fun acc t -> acc <> eval_term assignment t) false terms
-    in
-    (* piece = parity required; assignments violating it are forbidden *)
-    if value <> parity then on_set := mask :: !on_set
+  (* each term as the bit mask of its variables' positions in [vars]; a
+     term is true at minterm tm iff all its bits are set in tm *)
+  let position x =
+    let rec go i = if vars.(i) = x then i else go (i + 1) in
+    1 lsl go 0
+  in
+  let masks =
+    Array.of_list
+      (List.map
+         (function
+           | Mono m -> List.fold_left (fun acc x -> acc lor position x) 0 (M.vars m)
+           | Cut_aux v -> position v)
+         terms)
+  in
+  (* key: k, then the truth table of piece + parity, whose 1s are the
+     assignments violating the piece *)
+  let key = Bytes.make (1 + max 1 ((1 lsl k) / 8)) '\000' in
+  Bytes.set key 0 (Char.chr k);
+  for tm = 0 to (1 lsl k) - 1 do
+    let v = ref parity in
+    for t = 0 to Array.length masks - 1 do
+      if tm land masks.(t) = masks.(t) then v := not !v
+    done;
+    if !v then begin
+      let i = 1 + (tm lsr 3) in
+      Bytes.set key i (Char.chr (Char.code (Bytes.get key i) lor (1 lsl (tm land 7))))
+    end
   done;
-  let cubes = Minimize.Espresso.minimise ~nvars:k ~on_set:!on_set in
-  List.iter
-    (fun cube ->
-      let lits =
-        List.map
-          (fun (i, positive) -> L.make vars.(i) ~negated:positive)
-          (Minimize.Cube.literals ~nvars:k cube)
-      in
-      emit st (C.of_list lits))
-    cubes
+  let cover = minimised_cover ~k (Bytes.unsafe_to_string key) in
+  for j = 0 to (String.length cover / 2) - 1 do
+    let mask = Char.code cover.[2 * j] and value = Char.code cover.[(2 * j) + 1] in
+    let lits = ref [] in
+    for i = k - 1 downto 0 do
+      if mask lsr i land 1 = 1 then
+        lits := L.make vars.(i) ~negated:(value lsr i land 1 = 1) :: !lits
+    done;
+    emit st (C.of_list !lits)
+  done
 
 (* Tseitin path: replace every monomial of degree >= 2 by its auxiliary
    variable, then expand the resulting XOR clause directly. *)
@@ -161,8 +201,9 @@ let convert_piece st terms parity =
   match terms with
   | [] -> if parity then emit st (C.of_list []) (* 1 = 0: empty clause *)
   | _ ->
-      if List.length (piece_vars terms) <= st.config.Config.karnaugh_vars then
-        karnaugh_piece st terms parity
+      let vars = piece_vars terms in
+      if List.length vars <= st.config.Config.karnaugh_vars then
+        karnaugh_piece st vars terms parity
       else tseitin_piece st terms parity
 
 (* Cut a term list into pieces of at most L terms by chaining fresh
@@ -211,6 +252,8 @@ let convert_polynomial st p =
       cut_and_convert st terms parity
 
 let make_state ~config ~anf_nvars =
+  if config.Config.karnaugh_vars > Minimize.Quine_mccluskey.max_vars then
+    invalid_arg "Anf_to_cnf: karnaugh_vars (K) above 8";
   {
     config;
     clauses = [];

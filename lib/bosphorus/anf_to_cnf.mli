@@ -8,7 +8,13 @@
     variables — minimal clauses, no extra variables) or through a
     Tseitin-style encoding (one auxiliary CNF variable per monomial of
     degree >= 2, maintained in a bi-directional map, followed by direct XOR
-    clause expansion). *)
+    clause expansion).
+
+    The Karnaugh path supports K <= 8 (every entry point raises
+    [Invalid_argument] for a larger [karnaugh_vars]).  Each
+    domain memoises the minimised cover of every (k, truth table) it has
+    seen, up to 4096 entries (the table is cleared when full); the memo
+    is transparent — a hit emits exactly the clauses a miss would. *)
 
 type conversion = {
   formula : Cnf.Formula.t;

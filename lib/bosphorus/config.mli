@@ -18,7 +18,8 @@ type t = {
   xl_degree : int;  (** D: multiplier-monomial degree bound (paper: 1) *)
   karnaugh_vars : int;
       (** K: Karnaugh-map conversion for polynomials with <= K variables
-          (paper: 8) *)
+          (paper: 8).  At most 8: {!Anf_to_cnf} raises [Invalid_argument]
+          above that, and the CLI refuses [-K] outside 0..8. *)
   xor_cut_length : int;  (** L: max terms per cut XOR piece (paper: 5) *)
   clause_cut_positive : int;
       (** L': max positive literals per clause in CNF-to-ANF (paper: 5) *)

@@ -335,8 +335,9 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
         add_facts Facts.Sat_solver (P.one :: learnt)
     | Sat.Types.Sat model ->
         let candidate = reconstruct_solution model in
-        let lookup x = List.assoc x candidate in
-        if Anf.Eval.satisfies lookup polys then solution := Some candidate;
+        (* [candidate] lists variables 0..orig_nvars-1 in order *)
+        let values = Array.of_list (List.map snd candidate) in
+        if Anf.Eval.satisfies (Array.get values) polys then solution := Some candidate;
         add_facts Facts.Sat_solver learnt
     | Sat.Types.Undecided -> add_facts Facts.Sat_solver learnt
   in

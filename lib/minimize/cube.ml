@@ -4,7 +4,6 @@ let make ~mask ~value =
   if value land lnot mask <> 0 then invalid_arg "Cube.make: value outside mask";
   { mask; value }
 
-let of_minterm ~nvars m = { mask = (1 lsl nvars) - 1; value = m land ((1 lsl nvars) - 1) }
 let covers c m = m land c.mask = c.value
 
 let literals ~nvars c =
@@ -20,15 +19,6 @@ let popcount w =
   go w 0
 
 let n_fixed c = popcount c.mask
-
-let is_power_of_two w = w <> 0 && w land (w - 1) = 0
-
-let merge a b =
-  if a.mask <> b.mask then None
-  else
-    let diff = a.value lxor b.value in
-    if is_power_of_two diff then Some { mask = a.mask land lnot diff; value = a.value land lnot diff }
-    else None
 
 let minterms ~nvars c =
   let free_bits =

@@ -11,9 +11,6 @@ type t = private { mask : int; value : int }
     Raises [Invalid_argument] if [value] has bits outside [mask]. *)
 val make : mask:int -> value:int -> t
 
-(** [of_minterm ~nvars m] is the fully specified cube of minterm [m]. *)
-val of_minterm : nvars:int -> int -> t
-
 (** [covers c m] is [true] iff minterm [m] lies in cube [c]. *)
 val covers : t -> int -> bool
 
@@ -22,11 +19,6 @@ val literals : nvars:int -> t -> (int * bool) list
 
 (** Number of fixed variables. *)
 val n_fixed : t -> int
-
-(** [merge a b] combines two cubes that differ in exactly one fixed bit
-    and agree on their masks, yielding the cube with that bit freed;
-    [None] if they are not combinable. *)
-val merge : t -> t -> t option
 
 (** [minterms ~nvars c] enumerates the minterms covered by [c]
     (2^(free variables) of them). *)

@@ -64,6 +64,25 @@ let test_poly_parse_print_roundtrip () =
   in
   List.iter (fun s -> check_str s s (pstr (poly s))) cases
 
+(* to_string, pp and write_string share one renderer *)
+let test_poly_render () =
+  let x0x1 = M.of_vars [ 0; 1 ] in
+  let p = P.of_monomials [ x0x1; M.var 2; M.one ] in
+  check_str "zero" "0" (P.to_string P.zero);
+  check_str "one" "1" (P.to_string P.one);
+  check_str "monomial" "x0*x1" (M.to_string x0x1);
+  check_str "constant monomial" "1" (M.to_string M.one);
+  check_str "x0*x1 + x2 + 1" "x0*x1 + x2 + 1" (P.to_string p);
+  check_str "pp" (P.to_string p) (Format.asprintf "%a" P.pp p);
+  check_str "monomial pp" "x0*x1" (Format.asprintf "%a" M.pp x0x1);
+  let polys = [ p; P.zero; P.one; P.var 17; poly "x3*x12*x40 + x5" ] in
+  let text = Anf.Anf_io.write_string polys in
+  check_str "write_string" "x0*x1 + x2 + 1\n0\n1\nx17\nx3*x12*x40 + x5\n" text;
+  check_str "empty system" "\n" (Anf.Anf_io.write_string []);
+  (* "0" is a comment-free line that parses back to the zero polynomial *)
+  check "parse_string . write_string" true
+    (List.equal P.equal polys (Anf.Anf_io.parse_string text))
+
 let test_poly_add_cancels () =
   let p = poly "x1*x2 + x3" in
   check "p+p = 0" true (P.is_zero (P.add p p));
@@ -334,6 +353,7 @@ let suite =
     ( "anf.poly",
       [
         Alcotest.test_case "print/parse roundtrip" `Quick test_poly_parse_print_roundtrip;
+        Alcotest.test_case "render golden and write/parse" `Quick test_poly_render;
         Alcotest.test_case "add cancels" `Quick test_poly_add_cancels;
         Alcotest.test_case "mul" `Quick test_poly_mul;
         Alcotest.test_case "subst/assign" `Quick test_poly_subst;

@@ -245,6 +245,59 @@ let test_fig2_karnaugh_six_clauses () =
   let max_var = List.fold_left (fun acc c -> max acc (Cnf.Clause.max_var c)) 0 clauses in
   check "no auxiliary variables" true (max_var <= 4)
 
+(* Systems whose pieces reach the Karnaugh bound: up to 10 variables,
+   monomials of degree <= 3, at most 5 terms per polynomial. *)
+let wide_system_gen =
+  QCheck.Gen.(
+    let* nvars = int_range 6 10 in
+    let mono = map Anf.Monomial.of_vars (list_size (int_range 1 3) (int_bound (nvars - 1))) in
+    let* n = int_range 1 12 in
+    list_repeat n (map P.of_monomials (list_size (int_range 2 5) mono)))
+
+(* The Karnaugh path encodes a piece exactly: on every assignment of its
+   variables the clauses hold iff the polynomial is 0. *)
+let test_karnaugh_piece_exact () =
+  let rand = Random.State.make [| 23 |] in
+  List.iter
+    (fun p ->
+      let clauses = B.Anf_to_cnf.convert_poly_clauses ~config:B.Config.default p in
+      let vars = Array.of_list (P.vars p) in
+      if Array.length vars <= 8 && List.for_all (fun c -> Cnf.Clause.max_var c <= P.max_var p) clauses then
+        for a = 0 to (1 lsl Array.length vars) - 1 do
+          let value x =
+            let rec go i = if i >= Array.length vars then false else if vars.(i) = x then a lsr i land 1 = 1 else go (i + 1) in
+            go 0
+          in
+          check (P.to_string p) (not (P.eval value p))
+            (List.for_all (Cnf.Clause.eval value) clauses)
+        done)
+    (List.concat (QCheck.Gen.generate ~rand ~n:60 wide_system_gen))
+
+(* The Karnaugh memo is per domain: a freshly spawned domain converts with
+   a cold memo, the test domain with a warm one; both emit the same
+   clauses and XOR rows. *)
+let test_karnaugh_memo_transparent () =
+  let rand = Random.State.make [| 17 |] in
+  let simon =
+    (Ciphers.Simon.instance ~rounds:3 ~n_plaintexts:1 ~rng:(Random.State.make [| 5 |]) ())
+      .Ciphers.Simon.equations
+  in
+  let systems = simon :: QCheck.Gen.generate ~rand ~n:40 wide_system_gen in
+  let convert polys =
+    let c = B.Anf_to_cnf.convert ~config:B.Config.default polys in
+    (Cnf.Formula.clauses c.B.Anf_to_cnf.formula, c.B.Anf_to_cnf.xors)
+  in
+  let cold = Domain.join (Domain.spawn (fun () -> List.map convert systems)) in
+  let warm_up = List.map convert systems in
+  let warm = List.map convert systems in
+  check "cold = warming" true (cold = warm_up);
+  check "cold = warm" true (cold = warm)
+
+let test_karnaugh_bound_checked () =
+  let config = { B.Config.default with B.Config.karnaugh_vars = 9 } in
+  Alcotest.check_raises "K = 9" (Invalid_argument "Anf_to_cnf: karnaugh_vars (K) above 8")
+    (fun () -> ignore (B.Anf_to_cnf.convert ~config [ poly fig2_poly ]))
+
 let test_fig2_tseitin_eleven_clauses () =
   (* Fig. 2 (right): Tseitin conversion yields 11 clauses (3 for x5=x1x3
      plus 8 for the 4-term XOR) and one aux var *)
@@ -674,6 +727,9 @@ let main_suite =
       [
         Alcotest.test_case "Fig. 2 Karnaugh: 6 clauses" `Quick test_fig2_karnaugh_six_clauses;
         Alcotest.test_case "Fig. 2 Tseitin: 11 clauses" `Quick test_fig2_tseitin_eleven_clauses;
+        Alcotest.test_case "Karnaugh piece is exact" `Quick test_karnaugh_piece_exact;
+        Alcotest.test_case "Karnaugh memo cold = warm" `Quick test_karnaugh_memo_transparent;
+        Alcotest.test_case "Karnaugh bound above 8 rejected" `Quick test_karnaugh_bound_checked;
         Alcotest.test_case "models preserved under projection" `Quick test_conversion_preserves_models;
         Alcotest.test_case "xor cutting" `Quick test_conversion_cutting;
         Alcotest.test_case "clause poly (paper III-D)" `Quick test_clause_poly_paper_example;

@@ -22,15 +22,17 @@ let test_cube_make_invalid () =
   Alcotest.check_raises "value outside mask" (Invalid_argument "Cube.make: value outside mask")
     (fun () -> ignore (Cu.make ~mask:0b01 ~value:0b10))
 
+(* the pairwise merge step of the reference minimiser (Minimize_oracle) *)
 let test_cube_merge () =
-  let a = Cu.of_minterm ~nvars:3 0b101 and b = Cu.of_minterm ~nvars:3 0b100 in
-  (match Cu.merge a b with
+  let module O = Minimize_oracle in
+  let a = O.of_minterm ~nvars:3 0b101 and b = O.of_minterm ~nvars:3 0b100 in
+  (match O.merge a b with
   | Some c ->
       check "covers both" true (Cu.covers c 0b101 && Cu.covers c 0b100);
       check_int "one bit freed" 2 (Cu.n_fixed c)
   | None -> Alcotest.fail "expected merge");
   (* differ in two bits: no merge *)
-  check "no merge" true (Cu.merge (Cu.of_minterm ~nvars:3 0b101) (Cu.of_minterm ~nvars:3 0b110) = None)
+  check "no merge" true (O.merge (O.of_minterm ~nvars:3 0b101) (O.of_minterm ~nvars:3 0b110) = None)
 
 let test_qm_full_function () =
   (* on-set = everything: single prime covering all *)
@@ -116,8 +118,76 @@ let prop_minimise_no_worse_than_minterms =
       let distinct = List.sort_uniq Int.compare on_set in
       List.length (E.minimise ~nvars ~on_set) <= List.length distinct)
 
+(* ---- differential: Espresso against the reference minimiser ---- *)
+
+module O = Minimize_oracle
+
+let cubes = Alcotest.testable (Fmt.Dump.list (fun ppf (c : Cu.t) -> Fmt.pf ppf "(%d,%d)" c.mask c.value)) (List.equal Cu.equal)
+
+let same_as_oracle ~nvars ~on_set =
+  List.equal Cu.equal (QM.prime_implicants ~nvars on_set) (O.Quine_mccluskey.prime_implicants ~nvars on_set)
+  && List.equal Cu.equal (E.minimise ~nvars ~on_set) (O.minimise ~nvars ~on_set)
+
+(* every on-set over k <= 3 variables: 2^(2^k) functions each *)
+let test_differential_exhaustive () =
+  for nvars = 0 to 3 do
+    let size = 1 lsl nvars in
+    for f = 0 to (1 lsl size) - 1 do
+      let on_set = List.filter (fun m -> f lsr m land 1 = 1) (List.init size Fun.id) in
+      Alcotest.check cubes
+        (Printf.sprintf "k=%d f=%d" nvars f)
+        (O.minimise ~nvars ~on_set) (E.minimise ~nvars ~on_set);
+      Alcotest.check cubes
+        (Printf.sprintf "primes k=%d f=%d" nvars f)
+        (O.Quine_mccluskey.prime_implicants ~nvars on_set)
+        (QM.prime_implicants ~nvars on_set)
+    done
+  done
+
+let print_case (nvars, on_set) =
+  Printf.sprintf "k=%d on=[%s]" nvars (String.concat ";" (List.map string_of_int on_set))
+
+let prop_differential_random =
+  QCheck.Test.make ~name:"espresso = reference on random on-sets, k=4..8" ~count:300
+    QCheck.(
+      make ~print:print_case
+        Gen.(
+          let* nvars = int_range 4 8 in
+          let* density = int_range 1 9 in
+          let* bits = list_repeat (1 lsl nvars) (int_bound 9) in
+          return (nvars, List.concat (List.mapi (fun m b -> if b < density then [ m ] else []) bits))))
+    (fun (nvars, on_set) -> same_as_oracle ~nvars ~on_set)
+
+(* on-sets of XOR pieces as the Karnaugh path builds them: a sum of up to
+   5 monomials over k variables (each a bit mask), plus a parity *)
+let prop_differential_polynomial =
+  QCheck.Test.make ~name:"espresso = reference on polynomial on-sets, k=4..8" ~count:300
+    QCheck.(
+      make ~print:print_case
+        Gen.(
+          let* nvars = int_range 4 8 in
+          let* terms = list_size (int_range 1 5) (int_range 1 ((1 lsl nvars) - 1)) in
+          let* parity = bool in
+          let value tm = List.fold_left (fun v t -> v <> (tm land t = t)) parity terms in
+          return (nvars, List.filter value (List.init (1 lsl nvars) Fun.id))))
+    (fun (nvars, on_set) -> same_as_oracle ~nvars ~on_set)
+
+let test_qm_range () =
+  Alcotest.check_raises "nvars above 8" (Invalid_argument "Quine_mccluskey: nvars out of range")
+    (fun () -> ignore (QM.prime_implicants ~nvars:9 [ 0 ]));
+  Alcotest.check_raises "minterm out of range" (Invalid_argument "Quine_mccluskey: minterm out of range")
+    (fun () -> ignore (QM.prime_implicants ~nvars:3 [ 8 ]));
+  (* the per-domain scratch table is clean after a rejected call *)
+  Alcotest.check cubes "after rejection" (O.minimise ~nvars:8 ~on_set:[ 0; 1; 255 ]) (E.minimise ~nvars:8 ~on_set:[ 0; 1; 255 ])
+
 let qcheck_cases =
-  List.map QCheck_alcotest.to_alcotest [ prop_minimise_exact; prop_minimise_no_worse_than_minterms ]
+  List.map QCheck_alcotest.to_alcotest
+    [
+      prop_minimise_exact;
+      prop_minimise_no_worse_than_minterms;
+      prop_differential_random;
+      prop_differential_polynomial;
+    ]
 
 let suite =
   [
@@ -132,6 +202,8 @@ let suite =
         Alcotest.test_case "exact small covers" `Quick test_espresso_exact_small;
         Alcotest.test_case "verify textbook cover" `Quick test_espresso_verify;
         Alcotest.test_case "paper Fig. 2/3 function" `Quick test_espresso_karnaugh_paper_function;
+        Alcotest.test_case "QM range" `Quick test_qm_range;
+        Alcotest.test_case "equals reference, all k <= 3" `Quick test_differential_exhaustive;
       ] );
     ("minimize.properties", qcheck_cases);
   ]
