@@ -19,10 +19,8 @@ let table1 () =
   let expanded = Bosphorus.Xl.expand ~multipliers:mults system in
   Format.printf "(a) expanded system (%d distinct rows):@." (List.length expanded);
   List.iter (fun p -> Format.printf "    %a@." P.pp p) expanded;
-  let lin, matrix = Bosphorus.Linearize.build expanded in
-  let rank = Gf2.Matrix.rref matrix in
+  let { Bosphorus.Linearize.rank; rows; _ } = Bosphorus.Linearize.reduce expanded in
   Format.printf "@.(b) after Gauss-Jordan elimination (rank %d):@." rank;
-  let rows = List.map (Bosphorus.Linearize.poly_of_row lin) (Gf2.Matrix.nonzero_rows matrix) in
   List.iter (fun p -> Format.printf "    %a@." P.pp p) rows;
   let facts = Bosphorus.Xl.retain_facts rows in
   Format.printf "@.retained facts: %s@."

@@ -364,6 +364,21 @@ let status_exit_codes_arg =
                  or 0 (PROCESSED) so scripts can distinguish outcomes; off by \
                  default, where any completed run exits 0.")
 
+(* -j and --portfolio are refused above [Runtime.Pool.max_width] while the
+   command line is parsed, before any domain starts: wider requests could
+   ask the runtime for more domains than it can spawn. *)
+let width_conv =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n > Runtime.Pool.max_width ->
+        Error
+          (`Msg
+             (Printf.sprintf "%d is above the limit of %d domains" n
+                Runtime.Pool.max_width))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let config_term =
   let open Bosphorus.Config in
   let m = Arg.(value & opt int default.xl_sample_bits & info [ "M" ] ~doc:"XL/ElimLin subsample bits (linearised size ~2^M).") in
@@ -376,12 +391,13 @@ let config_term =
   let iters = Arg.(value & opt int default.max_iterations & info [ "max-iterations" ] ~doc:"Learning loop bound.") in
   let seed = Arg.(value & opt int default.seed & info [ "seed" ] ~doc:"Subsampling RNG seed.") in
   let jobs =
-    Arg.(value & opt int default.jobs
+    Arg.(value & opt width_conv default.jobs
          & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Domain-pool width for the parallel kernels (GF(2) \
-                   elimination panels, XL expansion, linearizer hashing).  \
-                   1 runs sequentially; 0 picks the machine's recommended \
-                   domain count.  Results are identical for every value.")
+             ~doc:"Domain-pool width for the GF(2) elimination's trailing \
+                   row update, the one parallel kernel.  1 runs \
+                   sequentially; 0 picks the machine's recommended domain \
+                   count; at most 64.  Results are identical for every \
+                   value.")
   in
   let timeout =
     Arg.(value & opt (some float) None
@@ -405,14 +421,14 @@ let config_term =
                    tripping it degrades the run like --timeout.")
   in
   let portfolio =
-    Arg.(value & opt int default.portfolio
+    Arg.(value & opt width_conv default.portfolio
          & info [ "portfolio" ] ~docv:"K"
              ~doc:"Race K diversified SAT configurations per round on \
                    dedicated domains, sharing learnt units and binaries \
                    through a lock-free exchange; the first worker to decide \
                    cancels the rest and its solver carries the round's \
                    facts.  1 (the default) keeps the single-solver \
-                   semantics bit-for-bit.")
+                   semantics bit-for-bit; at most 64.")
   in
   let gauss =
     let mode =

@@ -105,20 +105,35 @@ let max_frame_arg =
            ~doc:"Largest accepted request frame; bigger frames get a \
                  structured oversized error.")
 
+(* -j and --portfolio are refused above [Runtime.Pool.max_width] while the
+   command line is parsed, before any domain starts: wider requests could
+   ask the runtime for more domains than it can spawn. *)
+let width_conv =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n > Runtime.Pool.max_width ->
+        Error
+          (`Msg
+             (Printf.sprintf "%d is above the limit of %d domains" n
+                Runtime.Pool.max_width))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let jobs_arg =
-  Arg.(value & opt int Bosphorus.Config.default.Bosphorus.Config.jobs
+  Arg.(value & opt width_conv Bosphorus.Config.default.Bosphorus.Config.jobs
        & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Domain-pool width for each solve's parallel kernels \
-                 (0 picks the machine's recommended count).")
+           ~doc:"Domain-pool width for each solve's GF(2) elimination \
+                 (0 picks the machine's recommended count; at most 64).")
 
 let seed_arg =
   Arg.(value & opt int Bosphorus.Config.default.Bosphorus.Config.seed
        & info [ "seed" ] ~doc:"Subsampling RNG seed for every solve.")
 
 let portfolio_arg =
-  Arg.(value & opt int Bosphorus.Config.default.Bosphorus.Config.portfolio
+  Arg.(value & opt width_conv Bosphorus.Config.default.Bosphorus.Config.portfolio
        & info [ "portfolio" ] ~docv:"K"
-           ~doc:"SAT-stage portfolio width for every solve.")
+           ~doc:"SAT-stage portfolio width for every solve (at most 64).")
 
 let metrics_arg =
   Arg.(value & opt (some string) None

@@ -56,20 +56,26 @@ let max_var m = if Array.length m = 0 then -1 else m.(Array.length m - 1)
 
 (* Graded order: higher degree first; within a degree, lexicographically
    ascending variable tuples, matching how the paper displays polynomials
-   (x1x2 + x3 + x4 + 1). *)
+   (x1x2 + x3 + x4 + 1).  Both comparisons run over top-level helpers so
+   that a call allocates nothing: every linearisation sort and hash-table
+   probe goes through them. *)
+let rec compare_from (a : t) (b : t) i n =
+  if i >= n then 0
+  else
+    let x = Array.unsafe_get a i and y = Array.unsafe_get b i in
+    if x < y then -1 else if x > y then 1 else compare_from a b (i + 1) n
+
 let compare a b =
   let da = Array.length a and db = Array.length b in
-  if da <> db then Stdlib.compare db da
-  else
-    let rec go i =
-      if i >= da then 0
-      else
-        let c = Stdlib.compare a.(i) b.(i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
+  if da <> db then Int.compare db da else compare_from a b 0 da
 
-let equal a b = a = b
+let rec equal_from (a : t) (b : t) i n =
+  i >= n || (Array.unsafe_get a i = Array.unsafe_get b i && equal_from a b (i + 1) n)
+
+let equal a b =
+  let n = Array.length a in
+  n = Array.length b && equal_from a b 0 n
+
 let hash (m : t) = Hashtbl.hash m
 
 let eval assignment m = Array.for_all assignment m

@@ -267,9 +267,7 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
       List.fold_left (fun acc p -> max acc (P.max_var p + 1)) 0 polys
     in
     if List.length polys > nvars_live + 8 then begin
-      let lin, matrix = Linearize.build ~jobs:config.Config.jobs polys in
-      ignore (Gf2.Matrix.rref_m4rm ~jobs:config.Config.jobs matrix);
-      let basis = List.map (Linearize.poly_of_row lin) (Gf2.Matrix.nonzero_rows matrix) in
+      let basis = (Linearize.reduce ~jobs:config.Config.jobs polys).Linearize.rows in
       List.iter (fun (id, _) -> S.remove master id) !linear;
       List.iter (fun p -> ignore (S.add master p)) basis;
       propagate_and_record ()

@@ -9,9 +9,7 @@ let m_rounds = Obs.Metrics.counter "elimlin.rounds"
 
 let gje ?(jobs = 1) ?(poll = fun () -> ()) polys =
   Obs.Trace.with_span ~name:"elimlin.gje" @@ fun () ->
-  let lin, matrix = Linearize.build ~jobs polys in
-  ignore (Gf2.Matrix.rref_m4rm ~jobs ~poll matrix);
-  List.map (Linearize.poly_of_row lin) (Gf2.Matrix.nonzero_rows matrix)
+  (Linearize.reduce ~jobs ~poll polys).Linearize.rows
 
 exception Contradiction_found of P.t list
 exception Out_of_time

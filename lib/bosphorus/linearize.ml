@@ -7,81 +7,41 @@ module Mtbl = Hashtbl.Make (struct
   let hash = M.hash
 end)
 
-type t = { columns : M.t array; index : int Mtbl.t }
+type t = { columns : M.t array }
 
-let chunk_keys polys =
+(* Every distinct monomial of [polys], each bound to 0. *)
+let distinct polys =
   let seen = Mtbl.create 64 in
   List.iter
-    (fun p -> List.iter (fun m -> Mtbl.replace seen m ()) (Anf.Poly.monomials p))
+    (fun p -> List.iter (fun m -> Mtbl.replace seen m 0) (Anf.Poly.monomials p))
     polys;
   seen
-
-let column_basis ?(jobs = 1) polys =
-  let seen =
-    if jobs <= 1 then chunk_keys polys
-    else begin
-      (* hash each chunk's monomials into a local table in parallel, then
-         merge; the final sort makes the basis order chunking-independent *)
-      let pool = Runtime.Pool.get ~jobs in
-      let locals =
-        Runtime.Pool.run pool
-          (List.map
-             (fun chunk () ->
-               Obs.Trace.with_span ~name:"linearize.hash_chunk" (fun () ->
-                   chunk_keys chunk))
-             (Runtime.Pool.chunk_list ~chunks:jobs polys))
-      in
-      let seen = Mtbl.create 64 in
-      List.iter (fun local -> Mtbl.iter (fun m () -> Mtbl.replace seen m ()) local) locals;
-      seen
-    end
-  in
-  let cols = Mtbl.fold (fun m () acc -> m :: acc) seen [] in
-  Array.of_list (List.sort M.compare cols)
 
 let g_columns = Obs.Metrics.gauge "linearize.columns"
 let g_rows = Obs.Metrics.gauge "linearize.rows"
 
-(* Smallest system worth dispatching.  On 2 domains a build saves half
-   its sequential time, which must beat 4x a ~20 us pool round-trip:
-   160 us of sequential work, at roughly 3 us per polynomial. *)
-let build_parallel_cutoff = 54
-
-let build_parallel_worthwhile ~n_polys ~jobs () =
-  jobs > 1
-  && Int.min jobs (Domain.recommended_domain_count ()) > 1
-  && n_polys >= build_parallel_cutoff
-
-let build ?(jobs = 1) polys =
+let build polys =
   Obs.Trace.with_span ~name:"linearize.build" @@ fun () ->
-  let n_polys = List.length polys in
-  let jobs = if build_parallel_worthwhile ~n_polys ~jobs () then jobs else 1 in
-  let columns = column_basis ~jobs polys in
-  if Obs.Metrics.enabled () then begin
-    Obs.Metrics.set_gauge g_columns (Array.length columns);
-    Obs.Metrics.set_gauge g_rows (List.length polys)
-  end;
-  let index = Mtbl.create (Array.length columns) in
+  let index = distinct polys in
+  let columns =
+    Array.of_list (List.sort M.compare (Mtbl.fold (fun m _ acc -> m :: acc) index []))
+  in
+  (* rebinding existing keys to their column never resizes the table *)
   Array.iteri (fun i m -> Mtbl.replace index m i) columns;
-  let t = { columns; index } in
-  let ncols = Array.length columns in
-  (* one row per polynomial; [index] is frozen by now, so concurrent reads
-     from the pool's domains are safe *)
-  let row_of p =
-    let row = Gf2.Bitvec.create ncols in
-    List.iter
-      (fun m -> Gf2.Bitvec.set row (Mtbl.find index m) true)
-      (Anf.Poly.monomials p);
-    row
-  in
-  let[@check.allow
-       "domain-capture"
-         "index is frozen before the parallel row build; pool tasks only \
-          read it"] rows =
-    if jobs <= 1 then List.map row_of polys
-    else Runtime.Pool.map_list (Runtime.Pool.get ~jobs) row_of polys
-  in
-  (t, Gf2.Matrix.of_rows ~cols:ncols rows)
+  let n_rows = List.length polys and ncols = Array.length columns in
+  if Obs.Metrics.enabled () then begin
+    Obs.Metrics.set_gauge g_columns ncols;
+    Obs.Metrics.set_gauge g_rows n_rows
+  end;
+  (* one row per polynomial, its bits set in place in the matrix's own
+     row *)
+  let matrix = Gf2.Matrix.create ~rows:n_rows ~cols:ncols in
+  List.iteri
+    (fun r p ->
+      let row = Gf2.Matrix.row matrix r in
+      List.iter (fun m -> Gf2.Bitvec.set row (Mtbl.find index m) true) (Anf.Poly.monomials p))
+    polys;
+  ({ columns }, matrix)
 
 let n_columns t = Array.length t.columns
 let columns t = t.columns
@@ -89,4 +49,18 @@ let columns t = t.columns
 let poly_of_row t row =
   Anf.Poly.of_monomials (Gf2.Bitvec.fold_set row [] (fun acc i -> t.columns.(i) :: acc))
 
-let cells polys = List.length polys * Array.length (column_basis polys)
+type reduced = { n_columns : int; rank : int; rows : Anf.Poly.t list }
+
+let reduce ?(jobs = 1) ?poll ?(keep = fun _ _ -> true) polys =
+  let t, matrix = build polys in
+  let rank = Gf2.Matrix.rref_m4rm ~jobs ?poll matrix in
+  let keep = keep t in
+  (* the nonzero rows of a reduced row echelon form are its first [rank] *)
+  let rows = ref [] in
+  for i = rank - 1 downto 0 do
+    let row = Gf2.Matrix.row matrix i in
+    if keep row then rows := poly_of_row t row :: !rows
+  done;
+  { n_columns = n_columns t; rank; rows = !rows }
+
+let cells polys = List.length polys * Mtbl.length (distinct polys)

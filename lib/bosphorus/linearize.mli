@@ -6,23 +6,10 @@
 
 type t
 
-(** [build ?jobs polys] computes the column basis and the coefficient
-    matrix of the system (one row per polynomial, in the given order).
-    With [jobs > 1] the monomial columns are hashed and the rows built in
-    parallel over the shared {!Runtime.Pool}; the basis is sorted after
-    the merge, so the result is identical for every [jobs].
-
-    [jobs] is a ceiling: systems below a fixed cutoff (about 54
-    polynomials, the size at which a 2-domain split starts to beat pool
-    dispatch) and hosts with a single domain stay on the inline path, so
-    [jobs > 1] does not pay dispatch on builds too small to amortise
-    it. *)
-val build : ?jobs:int -> Anf.Poly.t list -> t * Gf2.Matrix.t
-
-(** Whether {!build} would dispatch on the pool for this system size and
-    [jobs], exposed so benches can record the chosen mode next to the
-    timing. *)
-val build_parallel_worthwhile : n_polys:int -> jobs:int -> unit -> bool
+(** [build polys] computes the column basis and the coefficient matrix of
+    the system (one row per polynomial, in the given order).  Each
+    polynomial's bits are set straight into the matrix's own row. *)
+val build : Anf.Poly.t list -> t * Gf2.Matrix.t
 
 (** Number of monomial columns. *)
 val n_columns : t -> int
@@ -32,6 +19,27 @@ val columns : t -> Anf.Monomial.t array
 
 (** [poly_of_row t row] converts a matrix row back to a polynomial. *)
 val poly_of_row : t -> Gf2.Bitvec.t -> Anf.Poly.t
+
+type reduced = {
+  n_columns : int;  (** monomial columns of the linearised system *)
+  rank : int;  (** GF(2) rank *)
+  rows : Anf.Poly.t list;  (** the kept nonzero reduced rows, top to bottom *)
+}
+
+(** [reduce ?jobs ?poll ?keep polys] linearises [polys] ({!build}),
+    reduces the matrix to reduced row echelon form with
+    {!Gf2.Matrix.rref_m4rm} (passing [jobs] and [poll] through), and
+    converts back to polynomials the nonzero rows that [keep t] accepts
+    (default: all of them).  [keep] sees the column basis first, so it can
+    precompute where the column groups it cares about start, and is then
+    asked once per row; rows it rejects are never converted.  A raising
+    [poll] aborts the whole call. *)
+val reduce :
+  ?jobs:int ->
+  ?poll:(unit -> unit) ->
+  ?keep:(t -> Gf2.Bitvec.t -> bool) ->
+  Anf.Poly.t list ->
+  reduced
 
 (** [cells polys] is [rows * distinct-monomials], the "m'-by-n' linearised
     size" the subsampling parameter M bounds. *)

@@ -31,11 +31,11 @@ module Ptbl = Hashtbl.Make (struct
   let hash = P.hash
 end)
 
-(* Expand one chunk of the polynomial list into a locally-deduplicated
-   batch, preserving first-occurrence order.  A tripped budget stops the
-   chunk at its next poll; the products found so far are kept — each is a
-   sound consequence on its own, so a partial batch only loses facts. *)
-let expand_chunk ?budget multipliers chunk =
+(* Every polynomial, then its products, deduplicated in first-occurrence
+   order.  A tripped budget stops the expansion at its next poll; the
+   products found so far are kept — each is a sound consequence on its
+   own, so a partial expansion only loses facts. *)
+let expand ?budget ~multipliers polys =
   let seen = Ptbl.create 64 in
   let out = ref [] in
   let push p =
@@ -52,67 +52,9 @@ let expand_chunk ?budget multipliers chunk =
        (fun p ->
          push p;
          List.iter (fun m -> push (P.mul_monomial p m)) multipliers)
-       chunk
+       polys
    with Harness.Budget.Tripped _ -> ());
   List.rev !out
-
-let expand_ops ~n_polys ~n_multipliers = n_polys * (n_multipliers + 1)
-
-(* Smallest expansion worth dispatching.  On 2 domains it saves half its
-   sequential time, which must beat 4x a ~20 us pool round-trip: 160 us
-   of sequential work, at roughly 2 us per product. *)
-let expand_parallel_cutoff = 80
-
-let expand_parallel_worthwhile ~n_polys ~n_multipliers ~jobs () =
-  jobs > 1
-  && Int.min jobs (Domain.recommended_domain_count ()) > 1
-  && expand_ops ~n_polys ~n_multipliers >= expand_parallel_cutoff
-
-let expand ?(jobs = 1) ?budget ~multipliers polys =
-  let n_multipliers = List.length multipliers in
-  let n_polys = List.length polys in
-  if not (expand_parallel_worthwhile ~n_polys ~n_multipliers ~jobs ()) then
-    expand_chunk ?budget multipliers polys
-  else begin
-    (* each domain expands a contiguous chunk into a local batch; the
-       batches are merged through one table in chunk order.  Both the local
-       and the global dedup keep first occurrences, and chunks are
-       contiguous, so the result list is identical to the sequential one.
-       Under a budget, a trip in any chunk sets the shared cancellation
-       token: in-flight chunks stop at their next poll (returning partial
-       batches), queued chunks are skipped entirely, and every future is
-       still joined — the merge below harvests whatever completed. *)
-    let pool = Runtime.Pool.get ~jobs in
-    let cancel = Option.map Harness.Budget.cancel_token budget in
-    let batches =
-      Runtime.Pool.run_results ?cancel pool
-        (List.map
-           (fun chunk () ->
-             Obs.Trace.with_span ~name:"xl.expand_chunk"
-               ~args:
-                 (if Obs.Trace.enabled () then
-                    [ ("polys", string_of_int (List.length chunk)) ]
-                  else [])
-               (fun () -> expand_chunk ?budget multipliers chunk))
-           (Runtime.Pool.chunk_list ~chunks:jobs polys))
-    in
-    let seen = Ptbl.create 64 in
-    let out = ref [] in
-    List.iter
-      (function
-        | Ok batch ->
-            List.iter
-              (fun p ->
-                if not (Ptbl.mem seen p) then begin
-                  Ptbl.replace seen p ();
-                  out := p :: !out
-                end)
-              batch
-        | Error Runtime.Pool.Cancelled -> ()
-        | Error e -> raise e)
-      batches;
-    List.rev !out
-  end
 
 let retain_facts polys =
   List.filter
@@ -120,6 +62,26 @@ let retain_facts polys =
       (not (P.is_zero p))
       && (P.is_linear p || match P.classify p with P.All_ones _ -> true | _ -> false))
     polys
+
+(* Which reduced rows can convert to a retained fact, decided on the bits.
+   Columns are in graded order (higher degree leftmost, the constant 1
+   last), so a row is linear iff its first set bit lies at or past the
+   first column of degree <= 1, and an all-ones fact [m + 1] is a row of
+   two set bits whose last is the constant column.  The test keeps every
+   row [retain_facts] keeps, so filtering the converted rows again gives
+   the same facts in the same order. *)
+let fact_shaped lin =
+  let cols = Linearize.columns lin in
+  let n = Array.length cols in
+  let rec first_linear i = if i >= n || M.degree cols.(i) <= 1 then i else first_linear (i + 1) in
+  let linear_from = first_linear 0 in
+  let has_constant = n > 0 && M.is_one cols.(n - 1) in
+  fun row ->
+    match Gf2.Bitvec.first_set row with
+    | None -> false
+    | Some c ->
+        c >= linear_from
+        || (has_constant && Gf2.Bitvec.get row (n - 1) && Gf2.Bitvec.popcount row = 2)
 
 let shuffle rng arr =
   for i = Array.length arr - 1 downto 1 do
@@ -203,6 +165,7 @@ let run_impl ~config ~rng ?budget polys =
     end
   in
   let trip =
+    Obs.Trace.with_span ~name:"xl.expand_chunk" @@ fun () ->
     match
       (* entry check so even tiny passes (whose amortized polls may never
          reach a full check) notice deadlines and injected faults *)
@@ -250,19 +213,16 @@ let run_impl ~config ~rng ?budget polys =
       in
       match
         Obs.Trace.with_span ~name:"xl.linearize_reduce" (fun () ->
-            let lin, matrix = Linearize.build ~jobs:config.jobs expanded in
-            let rank = Gf2.Matrix.rref_m4rm ~jobs:config.jobs ~poll matrix in
-            (lin, matrix, rank))
+            let r = Linearize.reduce ~jobs:config.jobs ~poll ~keep:fact_shaped expanded in
+            (r, retain_facts r.Linearize.rows))
       with
-      | lin, matrix, rank ->
-          let reduced = Gf2.Matrix.nonzero_rows matrix in
-          let row_polys = List.map (Linearize.poly_of_row lin) reduced in
+      | r, facts ->
           {
-            facts = retain_facts row_polys;
+            facts;
             sampled = List.length sample;
             expanded_rows = List.length expanded;
-            columns = Linearize.n_columns lin;
-            rank;
+            columns = r.Linearize.n_columns;
+            rank = r.Linearize.rank;
           }
       | exception Harness.Budget.Tripped _ ->
           {

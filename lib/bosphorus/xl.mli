@@ -37,38 +37,30 @@ val run :
     equation itself covers the degree-0 multiplier). *)
 val multipliers : vars:int list -> degree:int -> Anf.Monomial.t list
 
-(** [expand ?jobs ~multipliers polys] is the full (unsampled) XL
+(** [expand ?budget ~multipliers polys] is the full (unsampled) XL
     expansion: every polynomial times every multiplier, originals
-    included, without duplicates.  With [jobs > 1] the polynomial list is
-    partitioned across domains, each producing a locally-deduplicated
-    batch that is merged in chunk order — the output list is identical to
-    the sequential one.  Exposed for the Table I reproduction and tests.
+    included, without duplicates, in first-occurrence order.  Exposed for
+    the Table I reproduction and tests; {!run} expands incrementally
+    under its own size bound instead.
 
-    A tripped [budget] degrades instead of failing: in-flight chunks stop
-    at their next poll and contribute what they built, chunks not yet
-    started are skipped via the budget's cancellation token, and the merge
-    returns the (prefix-biased) partial expansion.
-
-    [jobs] is a ceiling, not a mandate: expansions below a fixed cutoff
-    (about 80 products, the size at which a 2-domain split starts to beat
-    pool dispatch) and hosts with a single domain stay on the inline
-    path, so [jobs > 1] does not pay dispatch on calls too small to
-    amortise it. *)
+    A tripped [budget] degrades instead of failing: the expansion stops
+    at its next poll and returns the (prefix) partial expansion. *)
 val expand :
-  ?jobs:int ->
   ?budget:Harness.Budget.t ->
   multipliers:Anf.Monomial.t list ->
   Anf.Poly.t list ->
   Anf.Poly.t list
 
-(** Whether {!expand} would actually dispatch on the pool for this shape
-    and [jobs].  Exposed so benches can record the chosen mode next to
-    the timing. *)
-val expand_parallel_worthwhile :
-  n_polys:int -> n_multipliers:int -> jobs:int -> unit -> bool
-
 (** [retain_facts polys] filters to the fact shapes Bosphorus keeps. *)
 val retain_facts : Anf.Poly.t list -> Anf.Poly.t list
+
+(** [fact_shaped lin row] is the row filter {!run} hands to
+    {!Linearize.reduce}: [true] iff reduced row [row] of the linearised
+    system [lin] is linear (its first set bit is at or past the first
+    column of degree <= 1) or is [m + 1] (two set bits, the last the
+    constant column).  It accepts every row {!retain_facts} keeps, so
+    [retain_facts] over the accepted rows gives the facts of all rows. *)
+val fact_shaped : Linearize.t -> Gf2.Bitvec.t -> bool
 
 (** [subsample ~rng ~cell_budget polys] greedily takes shuffled
     polynomials while the linearised size (rows x distinct monomials)

@@ -54,6 +54,36 @@ let copy v =
   A1.blit v.words words;
   { len = v.len; words }
 
+let blit ~src ~dst =
+  if src.len <> dst.len then invalid_arg "Bitvec.blit: length mismatch";
+  A1.blit src.words dst.words
+
+(* Bits [lo, lo + width) of each of the first [n] vectors, as ints with
+   bit [lo] lowest.  A window may straddle two words: the low part comes
+   from word [lo / bits_per_word] shifted down, the rest from the next
+   word shifted up past it.  One call reads a whole column band of a
+   matrix, so the per-row cost is a load or two, not a call. *)
+let windows rows ~n ~lo ~width out =
+  if
+    lo < 0 || width < 0 || width >= bits_per_word || n < 0
+    || n > Array.length rows || n > Array.length out
+  then invalid_arg "Bitvec.windows: range out of bounds";
+  let w = lo / bits_per_word and o = lo mod bits_per_word in
+  let mask = (1 lsl width) - 1 in
+  let straddles = o + width > bits_per_word in
+  for r = 0 to n - 1 do
+    let v = Array.unsafe_get rows r in
+    if lo + width > v.len then invalid_arg "Bitvec.windows: range out of bounds";
+    let bits =
+      if width = 0 then 0
+      else if straddles then
+        (A1.unsafe_get v.words w lsr o)
+        lor (A1.unsafe_get v.words (w + 1) lsl (bits_per_word - o))
+      else A1.unsafe_get v.words w lsr o
+    in
+    Array.unsafe_set out r (bits land mask)
+  done
+
 let xor_into ~src ~dst =
   if src.len <> dst.len then invalid_arg "Bitvec.xor_into: length mismatch";
   let s = src.words and d = dst.words in

@@ -26,6 +26,18 @@ val flip : t -> int -> unit
 (** [copy v] is an independent copy of [v]. *)
 val copy : t -> t
 
+(** [blit ~src ~dst] overwrites [dst] with the bits of [src].  The two
+    vectors must have the same length. *)
+val blit : src:t -> dst:t -> unit
+
+(** [windows rows ~n ~lo ~width out] stores in [out.(r)], for each
+    [r < n], bits [lo, lo + width) of [rows.(r)] packed into an int, bit
+    [lo] as bit 0 — one or two word reads per row whether or not the
+    range straddles a word boundary.  Requires [0 <= width < Sys.int_size],
+    [0 <= lo], [lo + width] within every row read, and [n] within both
+    arrays; raises [Invalid_argument] otherwise. *)
+val windows : t array -> n:int -> lo:int -> width:int -> int array -> unit
+
 (** [xor_into ~src ~dst] updates [dst] to [dst XOR src].  The two vectors
     must have the same length. *)
 val xor_into : src:t -> dst:t -> unit

@@ -9,9 +9,8 @@ let of_rows ~cols rows_list =
     (fun r ->
       if Bitvec.length r <> cols then invalid_arg "Matrix.of_rows: row length mismatch")
     rows_list;
-  let nrows = List.length rows_list in
-  let m = create ~rows:nrows ~cols in
-  List.iteri (fun i r -> m.data.(i) <- Bitvec.copy r) rows_list;
+  let m = create ~rows:(List.length rows_list) ~cols in
+  List.iteri (fun i r -> Bitvec.blit ~src:r ~dst:m.data.(i)) rows_list;
   m
 
 let rows m = m.nrows
@@ -147,23 +146,71 @@ let m4rm_parallel_worthwhile ?(k = 6) ~rows ~cols ~jobs () =
    roughly 256 KiB of table per sweep. *)
 let panel_words ~b = Int.max 64 ((1 lsl 15) / Int.max 1 (1 lsl (b - 3)))
 
-(* Method of the Four Russians.  Per block of <= k columns: find pivot
-   rows (reducing each candidate row by the block's previous pivots only),
-   normalise the pivot rows to identity on the pivot columns, tabulate all
-   2^b combinations of them in gray-code order, then clear the block's
-   pivot columns from every other row with one lookup + one XOR.
+(* Phase A's per-row step: reduce row [i] by the block's first [found]
+   pivot rows, in pivot order (each pivot row is clean on the pivots
+   before it but may touch the ones after, so ascending order is
+   required).  [win] holds every row's bits in the current block and
+   [pos.(t)] is pivot [t]'s bit in that window, so the test is an int
+   test and a full row XOR happens only when the window says so; the
+   window is kept equal to the row's block bits. *)
+let rec reduce_window m win pos ~pr ~found i t =
+  if t < found then begin
+    if (win.(i) lsr pos.(t)) land 1 = 1 then begin
+      Bitvec.xor_into ~src:m.data.(pr + t) ~dst:m.data.(i);
+      win.(i) <- win.(i) lxor win.(pr + t)
+    end;
+    reduce_window m win pos ~pr ~found i (t + 1)
+  end
 
-   The trailing update (phase C, the bulk of the work) is cache-blocked:
-   each row's table index is computed up front into a flat scratch array,
-   then the XORs sweep panel-of-words by panel-of-words so the lookup
-   table slice stays hot instead of being evicted between rows.  With
-   [jobs > 1] the update is partitioned row-wise across the domain pool —
-   unless the update is below [m4rm_parallel_cutoff] or the host has one
-   domain, in which case it runs inline (jobs is ignored).
-   Pivot selection and table construction stay sequential, and the
-   per-row updates are pure functions of the read-only table, so the
-   resulting RREF is bit-identical to the sequential one whatever [jobs]
-   is. *)
+(* The first row at or after [i] with bit [bit] of its window set once
+   reduced by the block's pivots so far, or -1.  [live] masks the window
+   bits of those pivots and [bit]: a row with none of them has nothing to
+   reduce and no bit to offer, so it costs one int read. *)
+let rec find_pivot m win pos ~pr ~found ~live ~bit i =
+  if i >= m.nrows then -1
+  else if win.(i) land live = 0 then find_pivot m win pos ~pr ~found ~live ~bit (i + 1)
+  else begin
+    reduce_window m win pos ~pr ~found i 0;
+    if (win.(i) lsr bit) land 1 = 1 then i
+    else find_pivot m win pos ~pr ~found ~live ~bit (i + 1)
+  end
+
+(* The gray-table index of a row whose window is [w]: bit t is set iff
+   the row has pivot t's column set. *)
+let rec table_index w pos b t acc =
+  if t >= b then acc
+  else table_index w pos b (t + 1) (acc lor (((w lsr pos.(t)) land 1) lsl t))
+
+(* Widest block window: one word's worth of bits. *)
+let max_window = Sys.int_size - 1
+
+(* Method of the Four Russians.  Per block of up to k pivots: find pivot
+   rows (reducing each candidate row by the block's previous pivots only),
+   normalise the pivot rows to identity on the pivot columns, combine
+   them gray-code style into a table indexed by pivot subsets, then clear
+   the block's pivot columns from every other row with one lookup + one
+   XOR.
+
+   A block starts at the current column and spans up to [max_window]
+   columns; it ends after the column of its k-th pivot.  Every row's bits
+   in that span are read once per block into an int window
+   ([Bitvec.windows]); pivot search, normalisation and each row's table
+   index work on the windows, which are kept equal to the rows' bits
+   through every row XOR and swap.  On sparse matrices most windows are
+   0, so such a row costs one int read per column of pivot search and
+   nothing else, and columns without a pivot do not end a block.  Table
+   entries are built only for the pivot subsets some row needs.
+
+   The trailing update (phase C) visits only the rows with a nonzero
+   table index and is cache-blocked: the XORs sweep panel-of-words by
+   panel-of-words so the lookup table slice stays hot instead of being
+   evicted between rows.  With [jobs > 1] those rows are partitioned
+   across the domain pool — unless the update is below
+   [m4rm_parallel_cutoff] or the host has one domain, in which case it
+   runs inline (jobs is ignored).  Pivot selection and table
+   construction stay sequential, and the per-row updates are pure
+   functions of the read-only table, so the resulting RREF is
+   bit-identical to the sequential one whatever [jobs] is. *)
 let rref_m4rm ?(k = 6) ?(jobs = 1) ?(poll = fun () -> ()) m =
   if k < 1 || k > 20 then invalid_arg "Matrix.rref_m4rm: k in 1..20";
   (* the pool is only obtained (and its domains only spawned) once the
@@ -173,120 +220,124 @@ let rref_m4rm ?(k = 6) ?(jobs = 1) ?(poll = fun () -> ()) m =
     then Runtime.Pool.get ~jobs
     else Runtime.Pool.get ~jobs:1
   in
+  let n = Int.max 1 m.nrows in
   let pivot_row = ref 0 in
   let col = ref 0 in
-  (* pivots.(t) is the t-th pivot column of the current block, ascending;
-     an int array rather than a list so that phase A's reduction finds a
-     pivot's row offset in O(1) instead of scanning a column list *)
-  let pivots = Array.make k 0 in
-  (* row_idx.(r): gray-table index of row r for the current block,
-     precomputed so the panel sweep can clear pivot columns as it goes *)
-  let row_idx = Array.make (Int.max 1 m.nrows) 0 in
+  (* pos.(t): the t-th pivot of the current block, as a bit of the block
+     window, ascending *)
+  let pos = Array.make k 0 in
+  (* win.(r): row r's bits in the current block *)
+  let win = Array.make n 0 in
+  (* the rows phase C updates, and each one's gray-table index *)
+  let hits = Array.make n 0 in
+  let hit_idx = Array.make n 0 in
+  (* gray table of pivot-row combinations, reused by every block: rows
+     allocated on first use, entry g valid in the block numbered
+     stamp.(g); table.(0) is the zero row *)
+  let table = Array.make (1 lsl Int.min k (Int.max 0 m.nrows)) (Bitvec.create m.ncols) in
+  let stamp = Array.make (Array.length table) 0 in
+  let allocated = ref 1 in
+  let block = ref 0 in
+  (* make table entry g, the sum of the pivot rows (from row [pr]) that
+     g's bits select, valid for this block *)
+  let rec ensure pr g =
+    if g <> 0 && stamp.(g) <> !block then begin
+      let rest = g land (g - 1) in
+      ensure pr rest;
+      if g >= !allocated then begin
+        for h = !allocated to g do
+          table.(h) <- Bitvec.create m.ncols
+        done;
+        allocated := g + 1
+      end;
+      Bitvec.blit ~src:table.(rest) ~dst:table.(g);
+      Bitvec.xor_into ~src:m.data.(pr + lowest_bit_index_int g) ~dst:table.(g);
+      stamp.(g) <- !block
+    end
+  in
   let nwords = Bitvec.n_words m.data.(0) in
   while !pivot_row < m.nrows && !col < m.ncols do
     (* per-block cancellation point: a raising [poll] abandons the
        half-reduced matrix, so callers must not use it afterwards *)
     poll ();
-    let block_end = Int.min m.ncols (!col + k) in
-    (* phase A: collect pivots for columns [!col, block_end) *)
+    let width = Int.min max_window (m.ncols - !col) in
+    Bitvec.windows m.data ~n:m.nrows ~lo:!col ~width win;
+    let pr = !pivot_row in
+    (* phase A: collect up to k pivots, column by column *)
     let found = ref 0 in
-    let c = ref !col in
-    while !c < block_end do
-      (* find a row at or below pivot_row + found with a 1 in column !c
-         after reduction by the pivots already found in this block *)
-      let rec search i =
-        if i >= m.nrows then None
-        else begin
-          (* reduce the candidate by this block's pivot rows, in pivot
-             order: each pivot row is clean on the pivots before it but may
-             touch the ones after, so ascending order is required *)
-          for t = 0 to !found - 1 do
-            if Bitvec.get m.data.(i) pivots.(t) then
-              Bitvec.xor_into ~src:m.data.(!pivot_row + t) ~dst:m.data.(i)
-          done;
-          if Bitvec.get m.data.(i) !c then Some i else search (i + 1)
-        end
-      in
-      (match search (!pivot_row + !found) with
-      | Some i ->
-          if i <> !pivot_row + !found then swap_rows m i (!pivot_row + !found);
-          pivots.(!found) <- !c;
-          incr found
-      | None -> ());
-      incr c
+    let bit = ref 0 in
+    (* the window bits of the pivots found so far *)
+    let pivmask = ref 0 in
+    while !found < k && !bit < width && pr + !found < m.nrows do
+      let live = !pivmask lor (1 lsl !bit) in
+      let i = find_pivot m win pos ~pr ~found:!found ~live ~bit:!bit (pr + !found) in
+      if i >= 0 then begin
+        pivmask := live;
+        let dst = pr + !found in
+        if i <> dst then begin
+          swap_rows m i dst;
+          let w = win.(i) in
+          win.(i) <- win.(dst);
+          win.(dst) <- w
+        end;
+        pos.(!found) <- !bit;
+        incr found
+      end;
+      incr bit
     done;
     let b = !found in
-    if b = 0 then col := block_end
-    else begin
-      let pr = !pivot_row in
+    if b > 0 then begin
       (* normalise the pivot rows to identity on the pivot columns *)
       for i = 0 to b - 1 do
         for j = 0 to b - 1 do
-          if i <> j && Bitvec.get m.data.(pr + i) pivots.(j) then
-            Bitvec.xor_into ~src:m.data.(pr + j) ~dst:m.data.(pr + i)
+          if i <> j && (win.(pr + i) lsr pos.(j)) land 1 = 1 then begin
+            Bitvec.xor_into ~src:m.data.(pr + j) ~dst:m.data.(pr + i);
+            win.(pr + i) <- win.(pr + i) lxor win.(pr + j)
+          end
         done
       done;
-      (* gray-code table of the 2^b combinations *)
-      let table = Array.make (1 lsl b) (Bitvec.create m.ncols) in
-      for g = 1 to (1 lsl b) - 1 do
-        let low = lowest_bit_index_int g in
-        let v = Bitvec.copy table.(g land (g - 1)) in
-        Bitvec.xor_into ~src:m.data.(pr + low) ~dst:v;
-        table.(g) <- v
+      (* every other row with a pivot bit, its table index, and the
+         table entries those indices need *)
+      incr block;
+      let n_hits = ref 0 in
+      for r = 0 to m.nrows - 1 do
+        let w = win.(r) in
+        if w land !pivmask <> 0 && (r < pr || r >= pr + b) then begin
+          let idx = table_index w pos b 0 0 in
+          ensure pr idx;
+          hits.(!n_hits) <- r;
+          hit_idx.(!n_hits) <- idx;
+          incr n_hits
+        end
       done;
-      (* phase C: clear the pivot columns everywhere else with one table
-         lookup + one XOR per row, cache-blocked.  First pass records each
-         row's table index (reading pivot-column bits before anything
-         clears them), then the XORs run panel-of-words by panel-of-words
-         across the rows so the table slice in use stays resident.  XOR is
-         word-local, so sweeping panels left-to-right produces the same
-         words as one full-row pass.  Rows are touched only by their own
-         range's task; the table and pivots are read-only here. *)
+      (* phase C: clear the pivot columns from those rows with one table
+         XOR each, panel-of-words by panel-of-words across the rows so
+         the table slice in use stays resident.  XOR is word-local, so
+         sweeping panels left-to-right produces the same words as one
+         full-row pass.  Each task touches only the rows of its own
+         range of [hits]; the table is read-only here. *)
       let panel = panel_words ~b in
       let update_rows lo hi =
-        for r = lo to hi - 1 do
-          if r < pr || r >= pr + b then begin
-            let idx = ref 0 in
-            for j = 0 to b - 1 do
-              if Bitvec.get m.data.(r) pivots.(j) then idx := !idx lor (1 lsl j)
-            done;
-            row_idx.(r) <- !idx
-          end
-          else row_idx.(r) <- 0
-        done;
         let w = ref 0 in
         while !w < nwords do
           let hi_w = Int.min nwords (!w + panel) in
-          for r = lo to hi - 1 do
-            let idx = row_idx.(r) in
-            if idx <> 0 then
-              Bitvec.xor_into_range ~src:table.(idx) ~dst:m.data.(r)
-                ~lo_word:!w ~hi_word:hi_w
+          for h = lo to hi - 1 do
+            Bitvec.xor_into_range ~src:table.(hit_idx.(h)) ~dst:m.data.(hits.(h))
+              ~lo_word:!w ~hi_word:hi_w
           done;
           w := hi_w
         done
       in
-      ((Runtime.Pool.parallel_for pool ~lo:0 ~hi:m.nrows update_rows)
-      [@check.allow
-        "domain-capture"
-          "each task writes only the row_idx slots in its own [lo, hi) row \
-           range; ranges are disjoint, so no two domains touch the same \
-           element"]);
-      pivot_row := pr + b;
-      col := block_end
-    end
+      Runtime.Pool.parallel_for pool ~lo:0 ~hi:!n_hits update_rows;
+      pivot_row := pr + b
+    end;
+    (* the next block starts after the last column examined *)
+    col := !col + !bit
   done;
   audit_rref_result "Matrix.rref_m4rm" m;
   !pivot_row
 
 let rank m = rref (copy m)
-
-let nonzero_rows m =
-  let acc = ref [] in
-  for i = m.nrows - 1 downto 0 do
-    if not (Bitvec.is_zero m.data.(i)) then acc := Bitvec.copy m.data.(i) :: !acc
-  done;
-  !acc
 
 let pp ppf m =
   for i = 0 to m.nrows - 1 do

@@ -43,11 +43,16 @@ val rref : t -> int
 
 (** [rref_m4rm ?k ?jobs m] is {!rref} by the Method of the Four Russians
     (the algorithm M4RI is named after): pivots are found in blocks of up
-    to [k] columns (default 6), the 2^b combinations of a block's pivot
-    rows are tabulated gray-code style, and every other row is cleared with
-    a single table lookup and XOR instead of up to [b] row operations.
+    to [k] pivots (default 6), combinations of a block's [b] pivot rows
+    are tabulated gray-code style, and every other row is cleared with a
+    single table lookup and XOR instead of up to [b] row operations.
     Produces the same reduced row echelon form as {!rref} (RREF is
-    canonical), roughly [k] times faster on large dense matrices.
+    canonical), roughly [k] times faster on large dense matrices.  A
+    block spans up to [Sys.int_size - 1] columns, read once per block
+    into one int window per row; pivot search works on the windows, so a
+    row with no bit at the block's pivots or the column being searched
+    costs one int test — sparse matrices, such as XL's expansions, pay
+    for their set bits rather than for rows x columns.
 
     With [jobs > 1] (default 1) each block's trailing row update is
     partitioned across [jobs] domains of the shared {!Runtime.Pool}.
@@ -89,10 +94,6 @@ val is_rref : t -> bool
     with {!rref} or {!rref_m4rm} first.  Raises [Invalid_argument] if the
     vector length differs from the column count. *)
 val in_row_space : t -> Bitvec.t -> bool
-
-(** [nonzero_rows m] lists (copies of) the rows that are not identically
-    zero, top to bottom. *)
-val nonzero_rows : t -> Bitvec.t list
 
 (** [pp] prints a 0/1 grid, one row per line. *)
 val pp : Format.formatter -> t -> unit

@@ -361,10 +361,18 @@ let map_list t f xs =
   | None -> List.map f xs
   | Some _ -> Array.to_list (map_array t f (Array.of_list xs))
 
+(* OCaml 5 starts at most 128 domains; two sets of [max_width - 1]
+   workers (kernel pool and pinned seats) plus the main domain stay below
+   that. *)
+let max_width = 64
+
 let default_jobs () =
-  match Sys.getenv_opt "BOSPHORUS_JOBS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | Some _ | None -> Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
+  let n =
+    match Sys.getenv_opt "BOSPHORUS_JOBS" with
+    | Some s -> (
+        match int_of_string_opt (String.trim s) with
+        | Some n when n >= 1 -> n
+        | Some _ | None -> Domain.recommended_domain_count ())
+    | None -> Domain.recommended_domain_count ()
+  in
+  Int.min max_width n

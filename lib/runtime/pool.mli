@@ -1,9 +1,8 @@
 (** Fixed-size OCaml 5 domain pool with a shared work queue and futures.
 
     The pool is the repository's single parallel-execution substrate: the
-    GF(2) elimination panel update, the XL expansion, the linearizer's
-    column hashing and the bench driver's multi-instance batching all run
-    through it.  Design constraints, in order:
+    GF(2) elimination panel update, the portfolio's pinned seats and the
+    bench driver's multi-instance batching all run through it.  Design constraints, in order:
 
     - {b Determinism.}  Every splitting helper ([chunk_ranges],
       [chunk_list], [map_list], [map_array], [parallel_for]) partitions its
@@ -19,11 +18,10 @@
     - {b Reuse.}  [get ~jobs] hands out views onto one process-global
       worker set (grown on demand, reaped at exit), so hot kernels can
       request parallelism per call without paying a domain spawn.
-    - {b Callers own granularity.}  Each parallel kernel compares its
-      work size against a fixed cutoff ([Gf2.Matrix.m4rm_parallel_worthwhile],
-      [Bosphorus.Xl.expand_parallel_worthwhile],
-      [Bosphorus.Linearize.build_parallel_worthwhile]) before calling
-      {!get}, so a call too small to amortise dispatch spawns no domain.
+    - {b Callers own granularity.}  A parallel kernel compares its work
+      size against a fixed cutoff ([Gf2.Matrix.m4rm_parallel_worthwhile])
+      before calling {!get}, so a call too small to amortise dispatch
+      spawns no domain.
 
     The caller participates: while awaiting its futures it pops and runs
     queued tasks, so nested [run] calls from inside tasks cannot deadlock
@@ -126,6 +124,14 @@ val chunk_ranges : chunks:int -> lo:int -> hi:int -> (int * int) list
     chunks in order; concatenating them restores [xs]. *)
 val chunk_list : chunks:int -> 'a list -> 'a list list
 
+(** The widest pool or portfolio the command-line tools accept (64).
+    With a kernel pool and a pinned set both this wide, their
+    [2 * (max_width - 1)] spawned domains plus the main domain stay below
+    the OCaml runtime's limit of 128 domains, past which [Domain.spawn]
+    fails. *)
+val max_width : int
+
 (** Default parallel width: the [BOSPHORUS_JOBS] environment variable if
-    set to a positive integer, else [Domain.recommended_domain_count ()]. *)
+    set to a positive integer, else [Domain.recommended_domain_count ()],
+    capped at {!max_width}. *)
 val default_jobs : unit -> int

@@ -252,6 +252,24 @@ let mono_gen =
   QCheck.Gen.(map M.of_vars (list_size (int_bound 4) (int_bound 7)))
 
 let poly_gen = QCheck.Gen.(map P.of_monomials (list_size (int_bound 8) mono_gen))
+
+(* Monomial order and equality against a list model: degree descending,
+   then the ascending variable lists lexicographically. *)
+let prop_mono_compare_model =
+  let arb = QCheck.(pair (make mono_gen) (make mono_gen)) in
+  QCheck.Test.make ~name:"monomial: compare/equal = list model" ~count:500 arb
+    (fun (a, b) ->
+      let la = M.vars a and lb = M.vars b in
+      let model =
+        match Int.compare (List.length lb) (List.length la) with
+        | 0 -> List.compare Int.compare la lb
+        | c -> c
+      in
+      M.compare a b = model
+      && M.compare b a = -model
+      && M.equal a b = (la = lb)
+      && M.equal a a)
+
 let arb_poly = QCheck.make ~print:pstr poly_gen
 
 let total_env seed x = Hashtbl.hash (seed, x) land 1 = 1
@@ -327,6 +345,7 @@ let prop_classify_sound =
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_mono_compare_model;
       prop_add_comm;
       prop_add_assoc;
       prop_mul_comm;

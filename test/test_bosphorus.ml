@@ -160,6 +160,77 @@ let test_xl_retain_shapes () =
   in
   check_int "keeps linear, all-ones, contradiction" 3 (List.length kept)
 
+(* Reference XL expansion: every polynomial, then its products, first
+   occurrences kept, by list scans. *)
+let reference_expand ~multipliers polys =
+  List.rev
+    (List.fold_left
+       (fun acc p -> if P.is_zero p || List.exists (P.equal p) acc then acc else p :: acc)
+       []
+       (List.concat_map (fun p -> p :: List.map (P.mul_monomial p) multipliers) polys))
+
+(* Random quadratic systems shaped like the service workload's requests:
+   sums of 2-4 products of two variables, half of them plus 1. *)
+let quadratic_system ~nvars ~n_polys seed =
+  let rng = Random.State.make [| seed |] in
+  let var () = 1 + Random.State.int rng nvars in
+  List.init n_polys (fun _ ->
+      let q =
+        List.fold_left
+          (fun acc _ -> P.add acc (P.mul (P.var (var ())) (P.var (var ()))))
+          P.zero
+          (List.init (2 + Random.State.int rng 3) Fun.id)
+      in
+      if Random.State.bool rng then P.add q P.one else q)
+
+let test_xl_expand_reference () =
+  let polys = quadratic_system ~nvars:12 ~n_polys:10 3 in
+  let mults = B.Xl.multipliers ~vars:(List.init 12 (fun i -> i + 1)) ~degree:1 in
+  let got = B.Xl.expand ~multipliers:mults polys in
+  check "same list" true (List.equal P.equal (reference_expand ~multipliers:mults polys) got)
+
+let prop_xl_expand_reference =
+  QCheck.Test.make ~name:"xl: expand = reference" ~count:60 QCheck.(int_range 0 1000)
+    (fun seed ->
+      let polys = quadratic_system ~nvars:6 ~n_polys:8 seed in
+      let mults = B.Xl.multipliers ~vars:[ 1; 2; 3; 4 ] ~degree:(1 + (seed mod 2)) in
+      List.equal P.equal (reference_expand ~multipliers:mults polys)
+        (B.Xl.expand ~multipliers:mults polys))
+
+(* XL converts only the reduced rows [fact_shaped] accepts; the facts
+   must equal [retain_facts] over every nonzero reduced row, converted
+   one by one as XL did before. *)
+let oracle_facts polys =
+  let lin, m = B.Linearize.build polys in
+  let rank = Gf2.Matrix.rref m in
+  B.Xl.retain_facts
+    (List.init rank (fun i -> B.Linearize.poly_of_row lin (Gf2.Matrix.row m i)))
+
+let test_xl_fact_rows_oracle () =
+  List.iter
+    (fun (nvars, n_polys, seed) ->
+      let polys = quadratic_system ~nvars ~n_polys seed in
+      let mults = B.Xl.multipliers ~vars:(List.init nvars (fun i -> i + 1)) ~degree:1 in
+      List.iter
+        (fun system ->
+          let r = B.Linearize.reduce ~keep:B.Xl.fact_shaped system in
+          let facts = B.Xl.retain_facts r.B.Linearize.rows in
+          let expect = oracle_facts system in
+          check (Printf.sprintf "seed %d: same facts" seed) true (List.equal P.equal expect facts))
+        [ polys; B.Xl.expand ~multipliers:mults polys ])
+    [ (20, 16, 1); (20, 16, 2); (20, 16, 3); (8, 12, 4); (6, 10, 5); (5, 9, 6); (4, 8, 7) ];
+  (* the Table I system learns linear facts, and an all-ones fact
+     survives the row filter too *)
+  let table1 = B.Xl.expand ~multipliers:(B.Xl.multipliers ~vars:[ 1; 2; 3 ] ~degree:1)
+      (table1_system ()) in
+  check "table I" true
+    (List.equal P.equal (oracle_facts table1)
+       (B.Xl.retain_facts (B.Linearize.reduce ~keep:B.Xl.fact_shaped table1).B.Linearize.rows));
+  let all_ones = [ poly "x1*x2*x3 + 1"; poly "x1*x4 + x2" ] in
+  check "all-ones fact kept" true
+    (List.exists (P.equal (poly "x1*x2*x3 + 1"))
+       (B.Xl.retain_facts (B.Linearize.reduce ~keep:B.Xl.fact_shaped all_ones).B.Linearize.rows))
+
 let test_xl_subsample_budget () =
   let polys = List.init 40 (fun i -> poly (Printf.sprintf "x%d*x%d + x%d" i (i + 1) (i + 2))) in
   let rng = Random.State.make [| 1 |] in
@@ -713,6 +784,9 @@ let main_suite =
         Alcotest.test_case "facts are implied" `Quick test_xl_facts_are_implied;
         Alcotest.test_case "retained shapes" `Quick test_xl_retain_shapes;
         Alcotest.test_case "subsample respects budget" `Quick test_xl_subsample_budget;
+        Alcotest.test_case "expand matches reference" `Quick test_xl_expand_reference;
+        QCheck_alcotest.to_alcotest prop_xl_expand_reference;
+        Alcotest.test_case "fact rows = all-row oracle" `Quick test_xl_fact_rows_oracle;
       ] );
     ( "bosphorus.elimlin",
       [
@@ -931,37 +1005,13 @@ let random_system ~n_polys ~n_vars ~terms seed =
              Anf.Monomial.of_vars
                (List.init 2 (fun _ -> 1 + Random.State.int rng n_vars)))))
 
-let test_xl_expand_parallel_identical () =
-  let polys = random_system ~n_polys:60 ~n_vars:20 ~terms:5 11 in
-  let mults = B.Xl.multipliers ~vars:(List.init 20 (fun i -> i + 1)) ~degree:1 in
-  let seq = B.Xl.expand ~jobs:1 ~multipliers:mults polys in
-  List.iter
-    (fun jobs ->
-      let par = B.Xl.expand ~jobs ~multipliers:mults polys in
-      check_int (Printf.sprintf "jobs=%d same length" jobs) (List.length seq) (List.length par);
-      check (Printf.sprintf "jobs=%d identical list" jobs) true (List.for_all2 P.equal seq par))
-    [ 2; 3; 4 ]
-
-let prop_xl_expand_parallel_equals_sequential =
-  QCheck.Test.make ~name:"xl: parallel expand = sequential expand" ~count:60
-    QCheck.(pair (int_range 0 1000) (int_range 2 4))
-    (fun (seed, jobs) ->
-      let polys = random_system ~n_polys:12 ~n_vars:8 ~terms:3 seed in
-      let mults = B.Xl.multipliers ~vars:[ 1; 2; 3; 4 ] ~degree:1 in
-      let seq = B.Xl.expand ~jobs:1 ~multipliers:mults polys in
-      let par = B.Xl.expand ~jobs ~multipliers:mults polys in
-      List.length seq = List.length par && List.for_all2 P.equal seq par)
-
 let test_linearize_parallel_identical () =
   let polys = random_system ~n_polys:40 ~n_vars:16 ~terms:6 23 in
-  let seq, seq_m = B.Linearize.build ~jobs:1 polys in
-  let par, par_m = B.Linearize.build ~jobs:3 polys in
-  check_int "same column count" (B.Linearize.n_columns seq) (B.Linearize.n_columns par);
-  check "same column order" true
-    (Array.for_all2 Anf.Monomial.equal (B.Linearize.columns seq) (B.Linearize.columns par));
-  Alcotest.(check string) "same matrix"
-    (Format.asprintf "%a" Gf2.Matrix.pp seq_m)
-    (Format.asprintf "%a" Gf2.Matrix.pp par_m)
+  let seq = B.Linearize.reduce ~jobs:1 polys in
+  let par = B.Linearize.reduce ~jobs:3 polys in
+  check_int "same column count" seq.B.Linearize.n_columns par.B.Linearize.n_columns;
+  check_int "same rank" seq.B.Linearize.rank par.B.Linearize.rank;
+  check "same rows" true (List.equal P.equal seq.B.Linearize.rows par.B.Linearize.rows)
 
 let test_xl_run_parallel_config () =
   let polys = table1_system () in
@@ -987,9 +1037,6 @@ let parallel_suite =
   [
     ( "bosphorus.parallel",
       [
-        Alcotest.test_case "xl expand identical under jobs" `Quick
-          test_xl_expand_parallel_identical;
-        QCheck_alcotest.to_alcotest prop_xl_expand_parallel_equals_sequential;
         Alcotest.test_case "linearize identical under jobs" `Quick
           test_linearize_parallel_identical;
         Alcotest.test_case "xl run with config.jobs" `Quick test_xl_run_parallel_config;

@@ -87,6 +87,79 @@ let test_bitvec_fold_iter () =
     (List.rev !collected);
   check_int "fold count" 6 (Gf2.Bitvec.fold_set v 0 (fun acc _ -> acc + 1))
 
+(* One row's window through [windows]. *)
+let window v ~lo ~width =
+  let out = [| -1 |] in
+  Gf2.Bitvec.windows [| v |] ~n:1 ~lo ~width out;
+  out.(0)
+
+(* [windows] against bit-by-bit [get], for every start and width on
+   vectors whose lengths sit around the 63-bit word boundaries, so
+   windows inside a word, ending on a boundary and straddling one are
+   all covered. *)
+let test_bitvec_window_model () =
+  let rng = Random.State.make [| 5 |] in
+  List.iter
+    (fun len ->
+      let v = Gf2.Bitvec.create len in
+      for i = 0 to len - 1 do
+        if Random.State.bool rng then Gf2.Bitvec.set v i true
+      done;
+      for lo = 0 to len do
+        for width = 0 to Int.min (Sys.int_size - 1) (len - lo) do
+          let expect = ref 0 in
+          for j = width - 1 downto 0 do
+            expect := (!expect lsl 1) lor Bool.to_int (Gf2.Bitvec.get v (lo + j))
+          done;
+          if window v ~lo ~width <> !expect then
+            Alcotest.failf "len %d lo %d width %d" len lo width
+        done
+      done)
+    [ 1; 6; 62; 63; 64; 125; 126; 127; 130; 200 ]
+
+let test_bitvec_window_boundaries () =
+  let v = Gf2.Bitvec.of_list 190 [ 61; 62; 63; 125; 126; 189 ] in
+  let w ~lo ~width = window v ~lo ~width in
+  check_int "inside word 0" 0b11 (w ~lo:61 ~width:2);
+  check_int "ends on the boundary" 0b110 (w ~lo:60 ~width:3);
+  check_int "straddles 62|63" 0b11 (w ~lo:62 ~width:2);
+  check_int "straddles, wider" 0b111000 (w ~lo:58 ~width:6);
+  check_int "starts on word 1" 0b1 (w ~lo:63 ~width:5);
+  check_int "straddles 125|126" 0b110 (w ~lo:124 ~width:3);
+  check_int "last bit" 1 (w ~lo:189 ~width:1);
+  check_int "empty window at the end" 0 (w ~lo:190 ~width:0);
+  check_int "widest window, one word" 1 (w ~lo:63 ~width:(Sys.int_size - 1));
+  check_int "widest window, straddling" ((1 lsl 60) lor (1 lsl 61))
+    (w ~lo:65 ~width:(Sys.int_size - 1));
+  let refuse name f =
+    Alcotest.check_raises name (Invalid_argument "Bitvec.windows: range out of bounds")
+      (fun () -> ignore (f ()))
+  in
+  refuse "past the end" (fun () -> w ~lo:188 ~width:3);
+  refuse "negative start" (fun () -> w ~lo:(-1) ~width:2);
+  refuse "a full word is too wide" (fun () -> w ~lo:0 ~width:Sys.int_size);
+  refuse "more rows than the output holds" (fun () ->
+      Gf2.Bitvec.windows [| v; v |] ~n:2 ~lo:0 ~width:3 [| 0 |]);
+  refuse "a shorter row" (fun () ->
+      Gf2.Bitvec.windows [| v; Gf2.Bitvec.create 100 |] ~n:2 ~lo:98 ~width:3 [| 0; 0 |]);
+  (* several rows in one call; slots past [n] are left alone *)
+  let rows =
+    [| Gf2.Bitvec.of_list 130 [ 62; 63 ]; Gf2.Bitvec.of_list 130 [ 61 ];
+       Gf2.Bitvec.of_list 130 [ 64 ]; Gf2.Bitvec.of_list 130 [ 62 ] |]
+  in
+  let out = Array.make 4 (-1) in
+  Gf2.Bitvec.windows rows ~n:3 ~lo:61 ~width:4 out;
+  Alcotest.(check (array int)) "row by row" [| 0b0110; 0b0001; 0b1000; -1 |] out
+
+let test_bitvec_blit () =
+  let a = Gf2.Bitvec.of_list 130 [ 0; 63; 129 ] and b = Gf2.Bitvec.of_list 130 [ 5 ] in
+  Gf2.Bitvec.blit ~src:a ~dst:b;
+  check "copied" true (Gf2.Bitvec.equal a b);
+  Gf2.Bitvec.set b 7 true;
+  check "independent" false (Gf2.Bitvec.get a 7);
+  Alcotest.check_raises "mismatch" (Invalid_argument "Bitvec.blit: length mismatch")
+    (fun () -> Gf2.Bitvec.blit ~src:a ~dst:(Gf2.Bitvec.create 129))
+
 (* ------------------------------------------------------------------ *)
 (* Matrix unit tests                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -151,7 +224,7 @@ let test_matrix_table1_example () =
   (* The GJE result in Table I(b) has 6 nonzero rows, whose last three are
      the linear facts x1+1, x2, x3. *)
   check_int "rank" 6 rank;
-  let nonzero = Gf2.Matrix.nonzero_rows m in
+  let nonzero = List.init rank (Gf2.Matrix.row m) in
   check_int "nonzero rows" 6 (List.length nonzero);
   let last3 =
     List.filteri (fun i _ -> i >= 3) (List.map Gf2.Bitvec.to_list nonzero)
@@ -266,7 +339,11 @@ let prop_rref_preserves_row_space =
   QCheck.Test.make ~name:"matrix: rref preserves row space" ~count:100 arb_matrix (fun m ->
       let reduced = Gf2.Matrix.copy m in
       ignore (Gf2.Matrix.rref reduced);
-      let basis = Gf2.Matrix.nonzero_rows reduced in
+      let basis =
+        List.filter
+          (fun r -> not (Gf2.Bitvec.is_zero r))
+          (List.init (Gf2.Matrix.rows reduced) (Gf2.Matrix.row reduced))
+      in
       let reduce_row row =
         let v = Gf2.Bitvec.copy row in
         List.iter
@@ -304,6 +381,70 @@ let prop_m4rm_equals_rref =
       let r2 = Gf2.Matrix.rref_m4rm ~k four in
       r1 = r2
       && Format.asprintf "%a" Gf2.Matrix.pp plain = Format.asprintf "%a" Gf2.Matrix.pp four)
+
+(* rref_m4rm against rref, row by row and in rank, over matrices up to
+   200 columns wide (so blocks straddle the 63-bit word boundaries) at
+   every k in 1..8, with sparse rows (about 3 bits, like XL's
+   expansions) and dense ones, and with fewer rows than k. *)
+let m4rm_agrees_with_rref ~k m =
+  let plain = Gf2.Matrix.copy m and four = Gf2.Matrix.copy m in
+  let r1 = Gf2.Matrix.rref plain in
+  let r2 = Gf2.Matrix.rref_m4rm ~k four in
+  r1 = r2
+  && List.for_all
+       (fun i -> Gf2.Bitvec.equal (Gf2.Matrix.row plain i) (Gf2.Matrix.row four i))
+       (List.init (Gf2.Matrix.rows m) Fun.id)
+
+let wide_matrix_gen =
+  QCheck.Gen.(
+    let* rows = oneof [ int_range 1 8; int_range 9 80 ] in
+    let* cols = int_range 1 200 in
+    let* dense = bool in
+    let* seed = int in
+    let rng = Random.State.make [| seed |] in
+    let m = Gf2.Matrix.create ~rows ~cols in
+    for r = 0 to rows - 1 do
+      if dense then
+        for c = 0 to cols - 1 do
+          if Random.State.bool rng then Gf2.Matrix.set m r c true
+        done
+      else
+        for _ = 1 to 1 + Random.State.int rng 5 do
+          Gf2.Matrix.set m r (Random.State.int rng cols) true
+        done
+    done;
+    return m)
+
+let prop_m4rm_differential =
+  QCheck.Test.make ~name:"four russians = rref: wide, sparse and dense" ~count:300
+    QCheck.(pair (make ~print:(Format.asprintf "%a" Gf2.Matrix.pp) wide_matrix_gen)
+              (int_range 1 8))
+    (fun (m, k) -> m4rm_agrees_with_rref ~k m)
+
+(* Matrices shaped like the service workload's XL passes: random
+   quadratic systems over 20 variables, every polynomial times every
+   variable, linearised (about 336 rows, 3-4 bits each, rank close to
+   the row count). *)
+let test_m4rm_xl_shaped () =
+  let rng = Random.State.make [| 2024 |] in
+  let nvars = 20 in
+  let var () = 1 + Random.State.int rng nvars in
+  let quadratic () =
+    let quad () = Anf.Poly.mul (Anf.Poly.var (var ())) (Anf.Poly.var (var ())) in
+    let q =
+      List.fold_left (fun acc _ -> Anf.Poly.add acc (quad ())) Anf.Poly.zero
+        (List.init (2 + Random.State.int rng 3) Fun.id)
+    in
+    if Random.State.bool rng then Anf.Poly.add q Anf.Poly.one else q
+  in
+  let mults = Bosphorus.Xl.multipliers ~vars:(List.init nvars (fun i -> i + 1)) ~degree:1 in
+  for _ = 1 to 12 do
+    let system = List.init (nvars - 4) (fun _ -> quadratic ()) in
+    let _, m = Bosphorus.Linearize.build (Bosphorus.Xl.expand ~multipliers:mults system) in
+    List.iter
+      (fun k -> check (Printf.sprintf "k=%d" k) true (m4rm_agrees_with_rref ~k m))
+      [ 1; 3; 6; 8 ]
+  done
 
 (* The parallel panel update must be bit-identical for every jobs count:
    pivot selection stays sequential and row updates are disjoint. *)
@@ -461,7 +602,7 @@ let test_m4rm_nonaligned_parallel () =
 let test_m4rm_parallel_worthwhile_gate () =
   (* jobs=1 never dispatches, zero work stays inline, and huge shapes at
      jobs>1 dispatch exactly when the host can run domains in parallel;
-     the other kernels' cutoffs are checked in the runtime.grain tests *)
+     the runtime.grain tests check the cutoff's shape *)
   let m4rm ~rows ~cols ~jobs = Gf2.Matrix.m4rm_parallel_worthwhile ~rows ~cols ~jobs () in
   check "jobs=1 is never worthwhile" false (m4rm ~rows:1_000_000 ~cols:65_536 ~jobs:1);
   check "zero work stays inline" false (m4rm ~rows:0 ~cols:0 ~jobs:4);
@@ -479,6 +620,7 @@ let qcheck_cases =
       prop_rank_bounded;
       prop_rref_preserves_row_space;
       prop_m4rm_equals_rref;
+      prop_m4rm_differential;
       prop_m4rm_parallel_equals_sequential;
     ]
 
@@ -496,6 +638,9 @@ let suite =
         Alcotest.test_case "of_list toggles duplicates" `Quick test_bitvec_of_list_toggles;
         Alcotest.test_case "copy independence" `Quick test_bitvec_copy_independent;
         Alcotest.test_case "iter/fold over set bits" `Quick test_bitvec_fold_iter;
+        Alcotest.test_case "window = bitwise get" `Quick test_bitvec_window_model;
+        Alcotest.test_case "window at word boundaries" `Quick test_bitvec_window_boundaries;
+        Alcotest.test_case "blit" `Quick test_bitvec_blit;
         Alcotest.test_case "model equivalence at word boundaries" `Quick
           test_bitvec_model_lengths;
         Alcotest.test_case "xor_into_range model" `Quick test_bitvec_xor_into_range;
@@ -512,6 +657,7 @@ let suite =
         Alcotest.test_case "is_rref" `Quick test_matrix_is_rref;
         Alcotest.test_case "in_row_space" `Quick test_matrix_in_row_space;
         Alcotest.test_case "four russians RREF" `Quick test_m4rm_matches_rref;
+        Alcotest.test_case "four russians on XL-shaped matrices" `Quick test_m4rm_xl_shaped;
         Alcotest.test_case "parallel M4RM on 200x200" `Quick test_m4rm_parallel_large;
         Alcotest.test_case "non-aligned parallel M4RM" `Quick
           test_m4rm_nonaligned_parallel;

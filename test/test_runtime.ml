@@ -125,16 +125,12 @@ let test_default_jobs_positive () =
 (* ------------------------------------------------------------------ *)
 
 (* Each parallel kernel decides dispatch with a pool-free probe over its
-   work size and the requested jobs.  [size] scales the work linearly. *)
+   work size and the requested jobs.  [size] scales the work linearly.
+   M4RM's trailing update is the one kernel with a parallel path. *)
 let grain_probes =
   [
     ( "m4rm",
       fun ~size ~jobs -> Gf2.Matrix.m4rm_parallel_worthwhile ~rows:size ~cols:size ~jobs () );
-    ( "xl.expand",
-      fun ~size ~jobs ->
-        Bosphorus.Xl.expand_parallel_worthwhile ~n_polys:size ~n_multipliers:size ~jobs () );
-    ( "linearize.build",
-      fun ~size ~jobs -> Bosphorus.Linearize.build_parallel_worthwhile ~n_polys:size ~jobs () );
   ]
 
 let test_grain_worth_parallel () =
