@@ -13,6 +13,7 @@ let of_vars xs =
   Array.of_list sorted
 
 let vars m = Array.to_list m
+let iter f m = Array.iter f m
 let degree m = Array.length m
 let is_one m = Array.length m = 0
 
@@ -46,8 +47,39 @@ let mul a b =
     if !k = la + lb then out else Array.sub out 0 !k
   end
 
+(* Insertion into the ascending distinct prefix buf.(0 .. k-1) of the
+   variables seen so far: polynomials mention few distinct variables, so
+   this beats sorting every occurrence. *)
+let support (ms : t array) =
+  let n = Array.fold_left (fun n m -> n + Array.length m) 0 ms in
+  let buf = Array.make n 0 in
+  let k = ref 0 in
+  for i = 0 to Array.length ms - 1 do
+    let m = Array.unsafe_get ms i in
+    for j = 0 to Array.length m - 1 do
+      let x = Array.unsafe_get m j in
+      (* binary search for the first entry >= x *)
+      let lo = ref 0 and hi = ref !k in
+      while !lo < !hi do
+        let mid = (!lo + !hi) lsr 1 in
+        if Array.unsafe_get buf mid < x then lo := mid + 1 else hi := mid
+      done;
+      if !lo = !k || Array.unsafe_get buf !lo <> x then begin
+        Array.blit buf !lo buf (!lo + 1) (!k - !lo);
+        Array.unsafe_set buf !lo x;
+        incr k
+      end
+    done
+  done;
+  if !k = n then buf else Array.sub buf 0 !k
+
 let remove_var m x =
-  if contains m x then Array.of_list (List.filter (fun v -> v <> x) (Array.to_list m))
+  if contains m x then begin
+    let out = Array.make (Array.length m - 1) 0 in
+    let k = ref 0 in
+    Array.iter (fun v -> if v <> x then (out.(!k) <- v; incr k)) m;
+    out
+  end
   else m
 
 let divides a b = Array.for_all (fun x -> contains b x) a
@@ -77,6 +109,89 @@ let equal a b =
   n = Array.length b && equal_from a b 0 n
 
 let hash (m : t) = Hashtbl.hash m
+
+let rec hash_from (m : t) h i n =
+  if i >= n then h else hash_from m ((h * 31) + Array.unsafe_get m i) (i + 1) n
+
+let hash_fold h m =
+  let n = Array.length m in
+  hash_from m ((h * 1000003) + n) 0 n
+
+(* ---------- one-pass literal rewriting ---------- *)
+
+(* A literal code: [2r] is variable r, [2r + 1] is r + 1, [-2] and [-1]
+   are the constants 0 and 1. *)
+let lit_zero = -2
+let lit_one = -1
+
+let rec rewrites_from lit (m : t) i n =
+  i < n
+  &&
+  let x = Array.unsafe_get m i in
+  lit x <> 2 * x || rewrites_from lit m (i + 1) n
+
+let rewrites lit m = rewrites_from lit m 0 (Array.length m)
+
+(* The code in buf.(0 .. n-1) naming the same variable as [c], or -1. *)
+let rec find_lit (buf : int array) n c i =
+  if i >= n then -1
+  else
+    let d = Array.unsafe_get buf i in
+    if d lsr 1 = c lsr 1 then d else find_lit buf n c (i + 1)
+
+(* Insert [c] into the ascending buf.(0 .. j-1), shifting larger codes up. *)
+let rec insert_lit (buf : int array) c j =
+  if j > 0 && Array.unsafe_get buf (j - 1) > c then begin
+    Array.unsafe_set buf j (Array.unsafe_get buf (j - 1));
+    insert_lit buf c (j - 1)
+  end
+  else Array.unsafe_set buf j c
+
+let rec rewrite_from lit (m : t) (buf : int array) i n =
+  if i >= Array.length m then n
+  else
+    let c = lit (Array.unsafe_get m i) in
+    if c = lit_zero then -1
+    else if c = lit_one then rewrite_from lit m buf (i + 1) n
+    else
+      let d = find_lit buf n c 0 in
+      if d < 0 then begin
+        insert_lit buf c n;
+        rewrite_from lit m buf (i + 1) (n + 1)
+      end
+      else if d = c then rewrite_from lit m buf (i + 1) n (* x*x = x *)
+      else -1 (* r*(r+1) = 0 *)
+
+let rewrite lit m buf = rewrite_from lit m buf 0 0
+
+let of_lits (buf : int array) n ~mask =
+  let size = ref 0 and bit = ref 1 in
+  for i = 0 to n - 1 do
+    let c = buf.(i) in
+    if c land 1 = 0 then incr size
+    else begin
+      if mask land !bit <> 0 then incr size;
+      bit := !bit lsl 1
+    end
+  done;
+  let out = Array.make !size 0 in
+  let k = ref 0 in
+  bit := 1;
+  for i = 0 to n - 1 do
+    let c = buf.(i) in
+    let keep =
+      c land 1 = 0
+      ||
+      let b = mask land !bit <> 0 in
+      bit := !bit lsl 1;
+      b
+    in
+    if keep then begin
+      out.(!k) <- c lsr 1;
+      incr k
+    end
+  done;
+  out
 
 let eval assignment m = Array.for_all assignment m
 

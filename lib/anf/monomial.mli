@@ -21,6 +21,9 @@ val of_vars : int list -> t
 (** Ascending list of variables in the monomial. *)
 val vars : t -> int list
 
+(** [iter f m] applies [f] to the variables of [m] in ascending order. *)
+val iter : (int -> unit) -> t -> unit
+
 (** Number of distinct variables. *)
 val degree : t -> int
 
@@ -31,6 +34,10 @@ val contains : t -> int -> bool
 
 (** [mul a b] is the product (set union of variables). *)
 val mul : t -> t -> t
+
+(** [support ms] is the ascending array of distinct variables occurring in
+    the monomials [ms]. *)
+val support : t array -> int array
 
 (** [remove_var m x] is [m] with variable [x] deleted (identity if absent). *)
 val remove_var : t -> int -> t
@@ -51,6 +58,38 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 val hash : t -> int
+
+(** [hash_fold h m] mixes every variable of [m] into the running hash [h];
+    allocates nothing.  Folding it over a polynomial's monomials hashes
+    the whole polynomial. *)
+val hash_fold : int -> t -> int
+
+(** {2 One-pass literal rewriting}
+
+    A rewrite maps each variable to a {e literal code}: [2r] for the
+    variable [r], [2r + 1] for [r + 1], {!lit_zero} and {!lit_one} for the
+    constants.  The identity code of [x] is [2x]. *)
+
+val lit_zero : int
+val lit_one : int
+
+(** [rewrites lit m] is [true] iff some variable [x] of [m] has
+    [lit x <> 2 * x].  Allocates nothing. *)
+val rewrites : (int -> int) -> t -> bool
+
+(** [rewrite lit m buf] writes the codes of [m]'s variables into [buf]
+    (of length at least [degree m]), ascending and without duplicates
+    (x·x = x), dropping the constant 1, and returns how many it wrote.  It
+    returns [-1] when the product is 0: some variable maps to 0, or both
+    [r] and [r + 1] occur.  Allocates nothing. *)
+val rewrite : (int -> int) -> t -> int array -> int
+
+(** [of_lits buf n ~mask] is one monomial of the expansion of the product
+    of the codes [buf.(0 .. n-1)] (as written by {!rewrite}): every plain
+    variable, and the root of the [j]-th negated code iff bit [j] of
+    [mask] is set.  The sum over all [2^k] masks, [k] the number of
+    negated codes, is the product. *)
+val of_lits : int array -> int -> mask:int -> t
 
 (** [eval assignment m] evaluates under [assignment] (total on [vars m]). *)
 val eval : (int -> bool) -> t -> bool

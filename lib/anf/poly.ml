@@ -9,14 +9,19 @@ let constant b = if b then one else zero
 
 (* Normalise a multiset of monomials: sort, then drop pairs (GF(2)). *)
 let of_monomials ms =
-  let sorted = List.sort Monomial.compare ms in
-  let rec dedup acc = function
-    | [] -> List.rev acc
-    | [ m ] -> List.rev (m :: acc)
-    | m1 :: m2 :: rest ->
-        if Monomial.equal m1 m2 then dedup acc rest else dedup (m1 :: acc) (m2 :: rest)
-  in
-  Array.of_list (dedup [] sorted)
+  let a = Array.of_list ms in
+  Array.stable_sort Monomial.compare a;
+  let n = Array.length a in
+  let k = ref 0 and i = ref 0 in
+  while !i < n do
+    if !i + 1 < n && Monomial.equal a.(!i) a.(!i + 1) then i := !i + 2
+    else begin
+      a.(!k) <- a.(!i);
+      incr k;
+      incr i
+    end
+  done;
+  if !k = n then a else Array.sub a 0 !k
 
 let monomials p = Array.to_list p
 let n_terms p = Array.length p
@@ -30,12 +35,9 @@ let is_one p = Array.length p = 1 && Monomial.is_one p.(0)
 let has_constant_term p = Array.length p > 0 && Monomial.is_one p.(Array.length p - 1)
 let degree p = if Array.length p = 0 then 0 else Monomial.degree p.(0)
 
-let vars p =
-  let module S = Set.Make (Int) in
-  let s =
-    Array.fold_left (fun s m -> List.fold_left (fun s x -> S.add x s) s (Monomial.vars m)) S.empty p
-  in
-  S.elements s
+let vars_array p = Monomial.support p
+
+let vars p = Array.to_list (vars_array p)
 
 let max_var p = Array.fold_left (fun acc m -> max acc (Monomial.max_var m)) (-1) p
 let contains_var p x = Array.exists (fun m -> Monomial.contains m x) p
@@ -78,16 +80,39 @@ let mul (a : t) (b : t) =
 let subst p ~target ~by =
   if not (contains_var p target) then p
   else begin
-    (* monomials without [target] pass through; each monomial with it is
-       replaced by (monomial / target) * by; normalise once at the end *)
+    (* monomials without [target] pass through, still sorted and distinct;
+       each monomial with it becomes (monomial / target) * by.  Normalise
+       only the products, then merge the two sorted parts. *)
+    let untouched = ref [] and products = ref [] in
+    for i = Array.length p - 1 downto 0 do
+      let m = p.(i) in
+      if Monomial.contains m target then begin
+        let rest = Monomial.remove_var m target in
+        Array.iter (fun mb -> products := Monomial.mul rest mb :: !products) by
+      end
+      else untouched := m :: !untouched
+    done;
+    add (Array.of_list !untouched) (of_monomials !products)
+  end
+
+let rewrite lit p =
+  if not (Array.exists (Monomial.rewrites lit) p) then p
+  else begin
+    (* map every monomial once; a negated root doubles it *)
+    let buf = Array.make (degree p) 0 in
     let acc = ref [] in
     Array.iter
       (fun m ->
-        if Monomial.contains m target then begin
-          let rest = Monomial.remove_var m target in
-          Array.iter (fun mb -> acc := Monomial.mul rest mb :: !acc) by
-        end
-        else acc := m :: !acc)
+        let n = Monomial.rewrite lit m buf in
+        if n >= 0 then begin
+          let negated = ref 0 in
+          for i = 0 to n - 1 do
+            if buf.(i) land 1 = 1 then incr negated
+          done;
+          for mask = 0 to (1 lsl !negated) - 1 do
+            acc := Monomial.of_lits buf n ~mask :: !acc
+          done
+        end)
       p;
     of_monomials !acc
   end
@@ -106,28 +131,26 @@ type shape =
   | Other
 
 let classify p =
-  match Array.to_list p with
-  | [] -> Tautology
-  | [ m ] when Monomial.is_one m -> Contradiction
-  | [ m ] when Monomial.degree m = 1 ->
+  match p with
+  | [||] -> Tautology
+  | [| m |] when Monomial.is_one m -> Contradiction
+  | [| m |] when Monomial.degree m = 1 ->
       (* x = 0 *)
-      (match Monomial.vars m with [ x ] -> Assign (x, false) | _ -> Other)
-  | [ m; c ] when Monomial.is_one c && Monomial.degree m = 1 ->
+      Assign (Monomial.max_var m, false)
+  | [| m; c |] when Monomial.is_one c && Monomial.degree m = 1 ->
       (* x + 1 = 0, i.e. x = 1 *)
-      (match Monomial.vars m with [ x ] -> Assign (x, true) | _ -> Other)
-  | [ m; c ] when Monomial.is_one c ->
+      Assign (Monomial.max_var m, true)
+  | [| m; c |] when Monomial.is_one c ->
       (* x_{i1}..x_{ip} + 1 = 0: all variables forced to 1 *)
       All_ones (Monomial.vars m)
-  | [ a; b ] when Monomial.degree a = 1 && Monomial.degree b = 1 ->
+  | [| a; b |] when Monomial.degree a = 1 && Monomial.degree b = 1 ->
       (* x + y = 0: x = y.  Canonical order puts the larger index first. *)
-      (match (Monomial.vars a, Monomial.vars b) with
-      | [ x ], [ y ] -> Equiv (max x y, min x y, false)
-      | _ -> Other)
-  | [ a; b; c ] when Monomial.is_one c && Monomial.degree a = 1 && Monomial.degree b = 1 ->
+      let x = Monomial.max_var a and y = Monomial.max_var b in
+      Equiv (max x y, min x y, false)
+  | [| a; b; c |] when Monomial.is_one c && Monomial.degree a = 1 && Monomial.degree b = 1 ->
       (* x + y + 1 = 0: x = not y *)
-      (match (Monomial.vars a, Monomial.vars b) with
-      | [ x ], [ y ] -> Equiv (max x y, min x y, true)
-      | _ -> Other)
+      let x = Monomial.max_var a and y = Monomial.max_var b in
+      Equiv (max x y, min x y, true)
   | _ -> Other
 
 let is_linear p = degree p <= 1
@@ -147,7 +170,7 @@ let compare (a : t) (b : t) =
   in
   go 0
 
-let hash (p : t) = Hashtbl.hash (Array.map Monomial.hash p)
+let hash (p : t) = Array.fold_left Monomial.hash_fold (Array.length p) p land max_int
 
 let add_to_buffer b p =
   if Array.length p = 0 then Buffer.add_char b '0'

@@ -42,6 +42,9 @@ val degree : t -> int
 (** Ascending list of distinct variables occurring in [p]. *)
 val vars : t -> int list
 
+(** [vars_array p] is [Array.of_list (vars p)], built without the list. *)
+val vars_array : t -> int array
+
 (** [max_var p] is the largest variable index, or [-1] if none. *)
 val max_var : t -> int
 
@@ -61,6 +64,15 @@ val mul_monomial : t -> Monomial.t -> t
 (** [subst p ~target ~by] replaces every occurrence of variable [target]
     with the polynomial [by] and renormalises. *)
 val subst : t -> target:int -> by:t -> t
+
+(** [rewrite lit p] substitutes every variable [x] at once by the literal
+    with code [lit x] (see {!Monomial.rewrite}: a constant, a variable or
+    a variable plus 1) and renormalises.  Returns [p] itself when every
+    code is the identity [2x].  Because each literal is a single variable
+    or constant, this equals substituting the variables one after
+    another, as long as no literal names a variable that is itself
+    rewritten. *)
+val rewrite : (int -> int) -> t -> t
 
 (** [assign p ~target ~value] is [subst] by a constant, but cheaper. *)
 val assign : t -> target:int -> value:bool -> t

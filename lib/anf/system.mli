@@ -4,7 +4,9 @@
     polynomials plus, for each variable, the list of polynomials it occurs
     in, so that propagation touches only the equations a variable appears in.
     Polynomials are identified by stable integer ids; removing one leaves a
-    tombstone, so ids stay valid.  Duplicate polynomials are refused by
+    tombstone, so ids stay valid.  Ids are never reused, so each variable's
+    occurrence list is a flat array of ids kept in ascending order by
+    appending; ids of removed polynomials are dropped from it lazily.  Duplicate polynomials are refused by
     {!add}, keeping the system a set. *)
 
 type t
@@ -47,7 +49,8 @@ val replace : t -> id -> Poly.t -> id option
 (** [find t id] is the live polynomial with this id, if any. *)
 val find : t -> id -> Poly.t option
 
-(** [occurrences t x] lists ids of live polynomials containing variable [x]. *)
+(** [occurrences t x] lists ids of live polynomials containing variable [x],
+    in ascending order. *)
 val occurrences : t -> int -> id list
 
 (** [occurrence_count t x] is [List.length (occurrences t x)] in O(1): the

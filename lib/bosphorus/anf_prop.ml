@@ -1,88 +1,95 @@
 module P = Anf.Poly
 
-(* Union-find over literals: parent.(x) = (y, parity) meaning x = y + parity.
-   Values are stored at the roots only. *)
-type state = {
-  parent : (int, int * bool) Hashtbl.t;
-  values : (int, bool) Hashtbl.t; (* root -> value *)
-}
+(* Union-find over literals, in flat arrays indexed by variable.
+   parent.(x) = 2y + parity means x = y + parity, -1 marks a root; values
+   (0 or 1, -1 when undetermined) are stored at the roots only.  A
+   variable past the end of the arrays is an undetermined root. *)
+type state = { mutable parent : int array; mutable value : int array }
 
-let create () = { parent = Hashtbl.create 64; values = Hashtbl.create 64 }
+let create () = { parent = Array.make 64 (-1); value = Array.make 64 (-1) }
 
-let rec find state x =
-  match Hashtbl.find_opt state.parent x with
-  | None -> (x, false)
-  | Some (y, p) ->
-      let root, q = find state y in
-      let combined = p <> q in
-      if y <> root || p <> combined then Hashtbl.replace state.parent x (root, combined);
-      (root, combined)
-
-let repr_of state x = find state x
-
-let value_of state x =
-  let root, parity = find state x in
-  Option.map (fun v -> v <> parity) (Hashtbl.find_opt state.values root)
-
-let assign state x v =
-  let root, parity = find state x in
-  let v_root = v <> parity in
-  match Hashtbl.find_opt state.values root with
-  | Some existing -> if existing = v_root then `Ok else `Conflict
-  | None ->
-      Hashtbl.replace state.values root v_root;
-      `Ok
-
-let equate state x y ~negated =
-  let rx, px = find state x and ry, py = find state y in
-  if rx = ry then if px <> py = negated then `Ok else `Conflict
-  else begin
-    (* x = y + negated  <=>  rx + px = ry + py + negated *)
-    let parity = px <> py <> negated in
-    (* keep the smaller index as root for canonical output *)
-    let root, child, parity = if rx < ry then (rx, ry, parity) else (ry, rx, parity) in
-    Hashtbl.replace state.parent child (root, parity);
-    (* migrate the child's value, if any *)
-    match Hashtbl.find_opt state.values child with
-    | None -> `Ok
-    | Some v ->
-        Hashtbl.remove state.values child;
-        let v_root = v <> parity in
-        (match Hashtbl.find_opt state.values root with
-        | Some existing -> if existing = v_root then `Ok else `Conflict
-        | None ->
-            Hashtbl.replace state.values root v_root;
-            `Ok)
+let ensure state x =
+  let cap = Array.length state.parent in
+  if x >= cap then begin
+    let n = max (2 * cap) (x + 1) in
+    let parent = Array.make n (-1) and value = Array.make n (-1) in
+    Array.blit state.parent 0 parent 0 cap;
+    Array.blit state.value 0 value 0 cap;
+    state.parent <- parent;
+    state.value <- value
   end
 
-let literal_poly state x =
-  match value_of state x with
-  | Some v -> P.constant v
-  | None ->
-      let root, parity = find state x in
-      if parity then P.add (P.var root) P.one else P.var root
-
-let normalise state p =
-  let needs_rewrite =
-    List.exists
-      (fun x ->
-        value_of state x <> None
-        ||
-        let root, parity = find state x in
-        root <> x || parity)
-      (P.vars p)
-  in
-  if not needs_rewrite then p
+(* The literal code (2 root + parity) of [x], compressing its path. *)
+let rec find_lit state x =
+  if x >= Array.length state.parent then 2 * x
   else
-    List.fold_left
-      (fun q x -> P.subst q ~target:x ~by:(literal_poly state x))
-      p (P.vars p)
+    let e = state.parent.(x) in
+    if e < 0 then 2 * x
+    else
+      let lit = find_lit state (e lsr 1) lxor (e land 1) in
+      if lit <> e then state.parent.(x) <- lit;
+      lit
+
+let root_value state r = if r < Array.length state.value then state.value.(r) else -1
+
+let repr_of state x =
+  let lit = find_lit state x in
+  (lit lsr 1, lit land 1 = 1)
+
+let value_of state x =
+  let lit = find_lit state x in
+  match root_value state (lit lsr 1) with
+  | -1 -> None
+  | v -> Some (v lxor (lit land 1) = 1)
+
+(* Record [v] for [root] unless it already has a value. *)
+let set_root_value state root v =
+  match root_value state root with
+  | -1 ->
+      ensure state root;
+      state.value.(root) <- v;
+      `Ok
+  | existing -> if existing = v then `Ok else `Conflict
+
+let assign state x v =
+  let lit = find_lit state x in
+  set_root_value state (lit lsr 1) (Bool.to_int v lxor (lit land 1))
+
+let equate state x y ~negated =
+  let lx = find_lit state x and ly = find_lit state y in
+  let rx = lx lsr 1 and ry = ly lsr 1 in
+  (* x = y + negated  <=>  rx + px = ry + py + negated *)
+  let parity = lx lxor ly lxor Bool.to_int negated land 1 in
+  if rx = ry then if parity = 0 then `Ok else `Conflict
+  else begin
+    (* keep the smaller index as root for canonical output *)
+    let root = min rx ry and child = max rx ry in
+    ensure state child;
+    state.parent.(child) <- (2 * root) + parity;
+    (* migrate the child's value, if any *)
+    match state.value.(child) with
+    | -1 -> `Ok
+    | v ->
+        state.value.(child) <- -1;
+        set_root_value state root (v lxor parity)
+  end
+
+(* The literal code (see Anf.Monomial.rewrite) [x] rewrites to: its value,
+   else its root literal.  Roots without a value map to themselves. *)
+let lit_code state x =
+  let lit = find_lit state x in
+  match root_value state (lit lsr 1) with
+  | -1 -> lit
+  | v -> Anf.Monomial.lit_zero + (v lxor (lit land 1))
+
+let normalise state p = P.rewrite (lit_code state) p
 
 let all_tracked state =
-  let s = Hashtbl.create 64 in
-  Hashtbl.iter (fun x _ -> Hashtbl.replace s x ()) state.parent;
-  Hashtbl.iter (fun x _ -> Hashtbl.replace s x ()) state.values;
-  Hashtbl.fold (fun x () acc -> x :: acc) s [] |> List.sort Int.compare
+  let acc = ref [] in
+  for x = Array.length state.parent - 1 downto 0 do
+    if state.parent.(x) >= 0 || state.value.(x) >= 0 then acc := x :: !acc
+  done;
+  !acc
 
 let assignments state =
   List.filter_map (fun x -> Option.map (fun v -> (x, v)) (value_of state x)) (all_tracked state)
@@ -92,7 +99,7 @@ let equivalences state =
     (fun x ->
       if value_of state x <> None then None
       else
-        let root, parity = find state x in
+        let root, parity = repr_of state x in
         if root = x then None else Some (x, root, parity))
     (all_tracked state)
 
@@ -106,10 +113,16 @@ let propagate state system =
   let module S = Anf.System in
   let contradiction = ref false in
   let queue = Queue.create () in
-  let queued = Hashtbl.create 64 in
+  (* one flag per id: is it in the queue? *)
+  let queued = ref (Bytes.make 64 '\000') in
   let enqueue id =
-    if not (Hashtbl.mem queued id) then begin
-      Hashtbl.replace queued id ();
+    if id >= Bytes.length !queued then begin
+      let wider = Bytes.make (max (2 * Bytes.length !queued) (id + 1)) '\000' in
+      Bytes.blit !queued 0 wider 0 (Bytes.length !queued);
+      queued := wider
+    end;
+    if Bytes.get !queued id = '\000' then begin
+      Bytes.set !queued id '\001';
       Queue.add id queue
     end
   in
@@ -135,13 +148,13 @@ let propagate state system =
   in
   while not (Queue.is_empty queue) do
     let id = Queue.pop queue in
-    Hashtbl.remove queued id;
+    Bytes.set !queued id '\000';
     match S.find system id with
     | None -> ()
     | Some p ->
         let q = normalise state p in
         let new_id =
-          if P.equal p q then Some id
+          if p == q || P.equal p q then Some id
           else begin
             (* replace the polynomial by its normalised form *)
             match S.replace system id q with

@@ -11,6 +11,45 @@ let gje ?(jobs = 1) ?(poll = fun () -> ()) polys =
   Obs.Trace.with_span ~name:"elimlin.gje" @@ fun () ->
   (Linearize.reduce ~jobs ~poll polys).Linearize.rows
 
+(* The substitutions x_i := by_i of one round, applied to linear equations.
+   Each [by_i] mentions only variables substituted after x_i, so a linear
+   [l] reduces by adding in the equation x_i + by_i of the earliest
+   substituted variable it contains, until none is left: the earliest
+   index grows with every addition.  The result equals substituting
+   x_1, x_2, ... one after another, because any nonzero sum of these
+   equations contains its earliest x_i exactly once, so the reduced form
+   is unique. *)
+module Substitutions = struct
+  type t = {
+    index : (int, int) Hashtbl.t; (* variable -> substitution index *)
+    mutable equations : P.t array; (* index -> x_i + by_i *)
+    mutable n : int;
+  }
+
+  let create () = { index = Hashtbl.create 64; equations = [||]; n = 0 }
+
+  let record t x equation =
+    if t.n = Array.length t.equations then begin
+      let wider = Array.make (max 16 (2 * t.n)) P.zero in
+      Array.blit t.equations 0 wider 0 t.n;
+      t.equations <- wider
+    end;
+    t.equations.(t.n) <- equation;
+    Hashtbl.replace t.index x t.n;
+    t.n <- t.n + 1
+
+  let earliest t l =
+    Array.fold_left
+      (fun best x ->
+        match Hashtbl.find_opt t.index x with
+        | Some i when best < 0 || i < best -> i
+        | _ -> best)
+      (-1) (P.vars_array l)
+
+  let rec reduce t l =
+    match earliest t l with -1 -> l | i -> reduce t (P.add l t.equations.(i))
+end
+
 exception Contradiction_found of P.t list
 exception Out_of_time
 
@@ -48,15 +87,12 @@ let eliminate ?deadline ?budget ?(jobs = 1) polys =
       if linear = [] then reduced
       else begin
         let system = S.create nonlinear in
-        let applied = ref [] (* (var, replacement), newest first *) in
-        let normalise_by_applied p =
-          List.fold_left (fun q (x, by) -> P.subst q ~target:x ~by) p (List.rev !applied)
-        in
+        let applied = Substitutions.create () in
         List.iter
           (fun l ->
             if past_deadline () then raise Out_of_time;
             check_budget ();
-            let l = normalise_by_applied l in
+            let l = Substitutions.reduce applied l in
             if P.is_one l then raise (Contradiction_found (P.one :: !facts));
             if not (P.is_zero l) then begin
               facts := l :: !facts;
@@ -74,7 +110,7 @@ let eliminate ?deadline ?budget ?(jobs = 1) polys =
                 in
                 (* l = x + rest, so x := rest *)
                 let by = P.add l (P.var x) in
-                applied := (x, by) :: !applied;
+                Substitutions.record applied x l;
                 Obs.Metrics.incr m_substitutions;
                 (* a substitution over a dense polynomial costs far more
                    than a clock read, so these are full checks rather than

@@ -13,6 +13,23 @@ type report = {
   final_size : int;  (** equations left in the reduced system *)
 }
 
+(** The substitutions [x_i := by_i] of one ElimLin round, where [x_i + by_i]
+    is the [i]-th linear equation after reduction by the earlier ones (so
+    [by_i] mentions no earlier [x_j]). *)
+module Substitutions : sig
+  type t
+
+  val create : unit -> t
+
+  (** [record t x equation] appends the substitution of [x] defined by the
+      linear [equation] ([x + by = 0]). *)
+  val record : t -> int -> Anf.Poly.t -> unit
+
+  (** [reduce t l] is the linear [l] with every recorded substitution
+      applied in order, computed by adding in recorded equations. *)
+  val reduce : t -> Anf.Poly.t -> Anf.Poly.t
+end
+
 (** [run ~config ~rng ?budget polys] applies ElimLin to a random subsample
     of linearised size about [2^M] (like XL, Bosphorus runs ElimLin to
     learn, not to solve).  A tripped [budget] (polled every substitution
