@@ -42,6 +42,9 @@ let run_serve socket workers per_timeout per_memory per_conflicts cache_capacity
       max_frame;
     }
   in
+  match Service.Daemon.check_config cfg with
+  | Error msg -> Error (`Msg msg)
+  | Ok () ->
   match Service.Daemon.start cfg with
   | exception Unix.Unix_error (e, _, arg) ->
       Error (`Msg (Printf.sprintf "cannot listen on %s: %s (%s)" socket
@@ -73,9 +76,6 @@ let socket_arg =
   Arg.(required & pos 0 (some string) None
        & info [] ~docv:"SOCKET" ~doc:"Unix-domain socket path to listen on.")
 
-let workers_arg =
-  Arg.(value & opt int 2
-       & info [ "workers" ] ~docv:"N" ~doc:"Worker domains executing solve jobs.")
 
 let per_timeout_arg =
   Arg.(value & opt (some float) None
@@ -105,9 +105,11 @@ let max_frame_arg =
            ~doc:"Largest accepted request frame; bigger frames get a \
                  structured oversized error.")
 
-(* -j and --portfolio are refused above [Runtime.Pool.max_width] while the
-   command line is parsed, before any domain starts: wider requests could
-   ask the runtime for more domains than it can spawn. *)
+(* --workers, -j and --portfolio are refused above [Runtime.Pool.max_width]
+   while the command line is parsed, before any domain starts: wider
+   requests could ask the runtime for more domains than it can spawn.  The
+   combination is checked against the runtime's limit before the daemon
+   starts. *)
 let width_conv =
   let parse s =
     match Arg.conv_parser Arg.int s with
@@ -119,6 +121,13 @@ let width_conv =
     | r -> r
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
+
+let workers_arg =
+  Arg.(value & opt width_conv 2
+       & info [ "workers" ] ~docv:"N"
+           ~doc:"Worker domains executing solve jobs (at most 64).  A daemon \
+                 runs N x K + J domains for portfolio width K and -j J, and \
+                 refuses to start above the runtime's limit of 128.")
 
 let jobs_arg =
   Arg.(value & opt width_conv Bosphorus.Config.default.Bosphorus.Config.jobs

@@ -130,16 +130,12 @@ let path_name p = norm_modname (Path.name p)
 let pool_submit_fns =
   [
     "Runtime.Pool.run";
-    "Runtime.Pool.run_results";
     "Runtime.Pool.submit";
     "Runtime.Pool.map_list";
-    "Runtime.Pool.map_array";
     "Runtime.Pool.parallel_for";
     "Pool.run";
-    "Pool.run_results";
     "Pool.submit";
     "Pool.map_list";
-    "Pool.map_array";
     "Pool.parallel_for";
   ]
 

@@ -4,7 +4,7 @@
     findings (waived and unwaived, deduplicated and sorted) for:
 
     - {b domain-capture}: closures handed to [Runtime.Pool]
-      ([run]/[run_results]/[map_list]/[map_array]/[parallel_for]) must not
+      ([run]/[map_list]/[parallel_for]) must not
       capture non-atomic mutable state — refs, hash tables, [Buffer.t],
       [Queue.t], [Stack.t], manifest-declared [[mutable]] types — nor
       write captured arrays/bytes or mutable record fields.  Locally

@@ -33,7 +33,6 @@ type shared = {
 type t = {
   shared : shared option; (* None: sequential fallback *)
   pjobs : int;
-  owned : bool; (* true for pools from [create]: [shutdown] may join them *)
 }
 
 let jobs t = t.pjobs
@@ -76,15 +75,7 @@ let shutdown_shared sh =
   sh.workers <- [];
   sh.n_workers <- 0
 
-let sequential = { shared = None; pjobs = 1; owned = false }
-
-let create ~jobs =
-  if jobs <= 1 then sequential
-  else begin
-    let sh = make_shared () in
-    spawn_workers sh (jobs - 1);
-    { shared = Some sh; pjobs = jobs; owned = true }
-  end
+let sequential = { shared = None; pjobs = 1 }
 
 (* One process-global worker set, grown on demand and reaped at exit so
    idle workers blocked on the condition variable cannot outlive main. *)
@@ -106,15 +97,8 @@ let get ~jobs =
     in
     spawn_workers sh (jobs - 1);
     Mutex.unlock global_m;
-    { shared = Some sh; pjobs = jobs; owned = false }
+    { shared = Some sh; pjobs = jobs }
   end
-
-let shutdown t =
-  match t.shared with Some sh when t.owned -> shutdown_shared sh | _ -> ()
-
-let with_pool ~jobs f =
-  let t = create ~jobs in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 let submit sh fut f =
   let task () =
@@ -180,6 +164,7 @@ let guard cancel f =
   | None -> f
   | Some tok -> fun () -> if Cancel.is_set tok then raise Cancelled else f ()
 
+(* One result per thunk, in submission order; every future is joined. *)
 let run_results ?cancel t thunks =
   match t.shared with
   | None ->
@@ -313,15 +298,6 @@ let chunk_ranges ~chunks ~lo ~hi =
         (start, start + len))
   end
 
-let chunk_list ~chunks xs =
-  match xs with
-  | [] -> []
-  | _ ->
-      let arr = Array.of_list xs in
-      List.map
-        (fun (lo, hi) -> Array.to_list (Array.sub arr lo (hi - lo)))
-        (chunk_ranges ~chunks ~lo:0 ~hi:(Array.length arr))
-
 let parallel_for t ~lo ~hi f =
   match t.shared with
   | None -> if hi > lo then f lo hi
@@ -333,37 +309,29 @@ let parallel_for t ~lo ~hi f =
               (chunk_ranges ~chunks:t.pjobs ~lo ~hi)))
 
 (* Chunk results land directly in one preallocated output array (slot 0 is
-   computed inline to seed it) instead of being concatenated from per-chunk
-   arrays: the merge allocates nothing beyond the output itself.  Each slot
-   is written by exactly one task and the joins in [run] order those writes
-   before the caller reads. *)
-let map_array t f xs =
-  match t.shared with
-  | None -> Array.map f xs
-  | Some _ ->
-      let n = Array.length xs in
-      if n = 0 then [||]
-      else begin
-        let out = Array.make n (f xs.(0)) in
-        ignore
-          (run t
-             (List.map
-                (fun (lo, hi) () ->
-                  for i = lo to hi - 1 do
-                    out.(i) <- f xs.(i)
-                  done)
-                (chunk_ranges ~chunks:t.pjobs ~lo:1 ~hi:n)));
-        out
-      end
-
+   computed inline to seed it): each slot is written by exactly one task
+   and the joins in [run] order those writes before the caller reads. *)
 let map_list t f xs =
-  match t.shared with
-  | None -> List.map f xs
-  | Some _ -> Array.to_list (map_array t f (Array.of_list xs))
+  match (t.shared, xs) with
+  | None, _ | _, [] -> List.map f xs
+  | Some _, x0 :: _ ->
+      let xs = Array.of_list xs in
+      let n = Array.length xs in
+      let out = Array.make n (f x0) in
+      ignore
+        (run t
+           (List.map
+              (fun (lo, hi) () ->
+                for i = lo to hi - 1 do
+                  out.(i) <- f xs.(i)
+                done)
+              (chunk_ranges ~chunks:t.pjobs ~lo:1 ~hi:n)));
+      Array.to_list out
 
 (* OCaml 5 starts at most 128 domains; two sets of [max_width - 1]
    workers (kernel pool and pinned seats) plus the main domain stay below
    that. *)
+let domain_limit = 128
 let max_width = 64
 
 let default_jobs () =

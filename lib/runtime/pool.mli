@@ -5,7 +5,7 @@
     bench driver's multi-instance batching all run through it.  Design constraints, in order:
 
     - {b Determinism.}  Every splitting helper ([chunk_ranges],
-      [chunk_list], [map_list], [map_array], [parallel_for]) partitions its
+      [map_list], [parallel_for]) partitions its
       input into contiguous chunks whose boundaries depend only on the
       pool's [jobs] value, and [run] joins futures in submission order.
       Tasks that write disjoint state therefore produce results independent
@@ -50,11 +50,6 @@ end
     task started (and by {!run} when such a slot is the first failure). *)
 exception Cancelled
 
-(** [create ~jobs] spawns a private pool with [max 0 (jobs - 1)] worker
-    domains ([jobs <= 1] gives the sequential pool).  Shut it down with
-    {!shutdown} (private pools are not reaped automatically). *)
-val create : jobs:int -> t
-
 (** [get ~jobs] is a view with parallel width [jobs] onto the shared
     process-global worker set, growing it if it has fewer than [jobs - 1]
     workers.  The global set is shut down via [at_exit].  [jobs <= 1]
@@ -65,14 +60,6 @@ val get : jobs:int -> t
     combinators cut their input into at most this many pieces. *)
 val jobs : t -> int
 
-(** [shutdown t] drains and joins a pool created with {!create}; no-op on
-    sequential pools and on views from {!get}. *)
-val shutdown : t -> unit
-
-(** [with_pool ~jobs f] runs [f] on a private pool and shuts it down
-    afterwards, exceptions included. *)
-val with_pool : jobs:int -> (t -> 'a) -> 'a
-
 (** [run ?cancel t thunks] executes the thunks (on workers plus the
     calling domain) and returns their results in submission order.  All
     thunks are run to completion even when some fail; the first failure in
@@ -82,13 +69,6 @@ val with_pool : jobs:int -> (t -> 'a) -> 'a
     (in-flight thunks are never interrupted: they must poll the token, or
     a {!Harness.Budget}, themselves). *)
 val run : ?cancel:Cancel.t -> t -> (unit -> 'a) list -> 'a list
-
-(** [run_results ?cancel t thunks] is {!run} without the re-raise: one
-    [result] per submitted thunk, in submission order, [Error Cancelled]
-    for slots skipped by the token.  Every future is joined before
-    returning — a tripped budget can therefore harvest the successful
-    chunks while abandoned ones are accounted for, never lost. *)
-val run_results : ?cancel:Cancel.t -> t -> (unit -> 'a) list -> ('a, exn) result list
 
 (** [run_pinned ?cancel thunks] runs long-lived tasks on {e dedicated}
     domains beside the work queue: the calling domain runs the first
@@ -107,9 +87,6 @@ val run_pinned : ?cancel:Cancel.t -> (unit -> 'a) list -> ('a, exn) result list
     preserving order: equal to [List.map f xs] whenever [f] is pure. *)
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 
-(** [map_array t f xs] is the array analogue of {!map_list}. *)
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-
 (** [parallel_for t ~lo ~hi f] calls [f lo' hi'] on contiguous sub-ranges
     partitioning [\[lo, hi)], in parallel.  [f] must write only state owned
     by its range. *)
@@ -120,9 +97,9 @@ val parallel_for : t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
     ranges [(lo', hi')].  Exposed for tests. *)
 val chunk_ranges : chunks:int -> lo:int -> hi:int -> (int * int) list
 
-(** [chunk_list ~chunks xs] cuts [xs] into at most [chunks] contiguous
-    chunks in order; concatenating them restores [xs]. *)
-val chunk_list : chunks:int -> 'a list -> 'a list list
+(** The most domains the OCaml runtime runs at once (128, the main domain
+    included); past it [Domain.spawn] fails. *)
+val domain_limit : int
 
 (** The widest pool or portfolio the command-line tools accept (64).
     With a kernel pool and a pinned set both this wide, their

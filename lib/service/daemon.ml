@@ -396,8 +396,30 @@ let rec accept_loop t =
 (* lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* 1 main domain, [workers] worker domains, [jobs - 1] shared kernel-pool
+   workers and, per worker, [portfolio - 1] pinned portfolio seats. *)
+let domains_needed cfg =
+  let portfolio = Int.max 1 cfg.base_config.Bosphorus.Config.portfolio
+  and jobs = Int.max 1 cfg.base_config.Bosphorus.Config.jobs in
+  (cfg.workers * portfolio) + jobs
+
+let check_config cfg =
+  if cfg.workers < 1 then Error "workers must be >= 1"
+  else
+    let n = domains_needed cfg in
+    if n > Runtime.Pool.domain_limit then
+      Error
+        (Printf.sprintf
+           "%d workers with portfolio %d and %d jobs need %d domains, above \
+            the runtime's limit of %d"
+           cfg.workers cfg.base_config.Bosphorus.Config.portfolio
+           cfg.base_config.Bosphorus.Config.jobs n Runtime.Pool.domain_limit)
+    else Ok ()
+
 let start cfg =
-  if cfg.workers < 1 then invalid_arg "Daemon.start: workers must be >= 1";
+  (match check_config cfg with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Daemon.start: " ^ msg));
   (* a peer hanging up mid-reply must surface as EPIPE on the handler
      thread, not as a process-killing signal *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore

@@ -37,8 +37,20 @@ type config = {
 
 val default_config : socket_path:string -> config
 
+(** Domains a running daemon uses at most: [workers * P + J] for
+    portfolio width [P] and kernel-pool width [J] (each at least 1) — the
+    main domain, [workers] worker domains, [J - 1] pool workers and
+    [workers * (P - 1)] pinned portfolio seats. *)
+val domains_needed : config -> int
+
+(** [Error] when [workers < 1] or {!domains_needed} exceeds
+    {!Runtime.Pool.domain_limit}. *)
+val check_config : config -> (unit, string) result
+
 type t
 
+(** Raises [Invalid_argument] when {!check_config} fails, before binding
+    the socket or starting any domain. *)
 val start : config -> t
 val socket_path : t -> string
 

@@ -142,16 +142,16 @@ let test_trace_export_parses_matched () =
          caller helps, so without this the caller could run every task
          itself and the multi-track assertion would be racy) *)
       let started = Atomic.make 0 in
-      Pool.with_pool ~jobs:4 (fun pool ->
-          ignore
-            (Pool.run pool
-               (List.init 4 (fun i () ->
-                    Trace.with_span ~name:"worker-span" (fun () ->
-                        Atomic.incr started;
-                        while Atomic.get started < 4 do
-                          Domain.cpu_relax ()
-                        done;
-                        i * i))))));
+      let pool = Pool.get ~jobs:4 in
+      ignore
+        (Pool.run pool
+           (List.init 4 (fun i () ->
+                Trace.with_span ~name:"worker-span" (fun () ->
+                    Atomic.incr started;
+                    while Atomic.get started < 4 do
+                      Domain.cpu_relax ()
+                    done;
+                    i * i)))));
   (* per-domain streams individually stack-matched *)
   let by_tid = Hashtbl.create 8 in
   List.iter
@@ -253,13 +253,12 @@ let test_metrics_counter_atomicity () =
   Metrics.set_enabled true;
   let c = Metrics.counter "test.parallel_counter" in
   let bump () =
-    Pool.with_pool ~jobs:4 (fun pool ->
-        ignore
-          (Pool.run pool
-             (List.init 8 (fun _ () ->
-                  for _ = 1 to 10_000 do
-                    Metrics.incr c
-                  done))))
+    ignore
+      (Pool.run (Pool.get ~jobs:4)
+         (List.init 8 (fun _ () ->
+              for _ = 1 to 10_000 do
+                Metrics.incr c
+              done)))
   in
   bump ();
   check_int "no lost updates under 4 domains" 80_000 (Metrics.counter_value c);

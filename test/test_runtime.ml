@@ -35,52 +35,40 @@ let test_chunk_ranges_balanced () =
   let sizes = List.map (fun (a, b) -> b - a) ranges in
   check_ints "10 over 4 splits 3,3,2,2" [ 3; 3; 2; 2 ] sizes
 
-let test_chunk_list () =
-  let chunks = Pool.chunk_list ~chunks:3 [ 1; 2; 3; 4; 5; 6; 7 ] in
-  Alcotest.(check (list (list int))) "7 over 3 keeps order" [ [ 1; 2; 3 ]; [ 4; 5 ]; [ 6; 7 ] ] chunks;
-  Alcotest.(check (list (list int))) "empty list" [] (Pool.chunk_list ~chunks:3 [])
-
 (* ------------------------------------------------------------------ *)
 (* run / map: order and equivalence with sequential                     *)
 (* ------------------------------------------------------------------ *)
 
 let test_run_preserves_order () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let thunks = List.init 50 (fun i () -> i * i) in
-      check_ints "results in submission order" (List.init 50 (fun i -> i * i))
-        (Pool.run pool thunks))
+  let pool = Pool.get ~jobs:4 in
+  let thunks = List.init 50 (fun i () -> i * i) in
+  check_ints "results in submission order" (List.init 50 (fun i -> i * i)) (Pool.run pool thunks)
 
 let test_map_list_matches_sequential () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      let xs = List.init 101 (fun i -> i - 50) in
-      let f x = (x * 7) + 3 in
-      check_ints "map_list = List.map" (List.map f xs) (Pool.map_list pool f xs))
-
-let test_map_array_matches_sequential () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      let xs = Array.init 64 (fun i -> i) in
-      let f x = x * x in
-      Alcotest.(check (array int)) "map_array = Array.map" (Array.map f xs)
-        (Pool.map_array pool f xs))
+  let pool = Pool.get ~jobs:3 in
+  let xs = List.init 101 (fun i -> i - 50) in
+  let f x = (x * 7) + 3 in
+  check_ints "map_list = List.map" (List.map f xs) (Pool.map_list pool f xs);
+  check_ints "empty list" [] (Pool.map_list pool f [])
 
 let test_sequential_fallback () =
   (* jobs=1 must not spawn domains; everything runs in the caller *)
-  Pool.with_pool ~jobs:1 (fun pool ->
-      check_int "jobs" 1 (Pool.jobs pool);
-      let self = Domain.self () in
-      let domains = Pool.run pool (List.init 8 (fun _ () -> Domain.self ())) in
-      List.iter (fun d -> Alcotest.(check bool) "ran in caller" true (d = self)) domains)
+  let pool = Pool.get ~jobs:1 in
+  check_int "jobs" 1 (Pool.jobs pool);
+  let self = Domain.self () in
+  let domains = Pool.run pool (List.init 8 (fun _ () -> Domain.self ())) in
+  List.iter (fun d -> Alcotest.(check bool) "ran in caller" true (d = self)) domains
 
 let test_parallel_for_covers_range () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let hits = Array.make 100 0 in
-      Pool.parallel_for pool ~lo:0 ~hi:100 (fun lo hi ->
-          for i = lo to hi - 1 do
-            hits.(i) <- hits.(i) + 1
-          done);
-      Array.iteri (fun i h -> check_int (Printf.sprintf "index %d hit once" i) 1 h) hits;
-      (* empty range is a no-op *)
-      Pool.parallel_for pool ~lo:5 ~hi:5 (fun _ _ -> failwith "must not run"))
+  let pool = Pool.get ~jobs:4 in
+  let hits = Array.make 100 0 in
+  Pool.parallel_for pool ~lo:0 ~hi:100 (fun lo hi ->
+      for i = lo to hi - 1 do
+        hits.(i) <- hits.(i) + 1
+      done);
+  Array.iteri (fun i h -> check_int (Printf.sprintf "index %d hit once" i) 1 h) hits;
+  (* empty range is a no-op *)
+  Pool.parallel_for pool ~lo:5 ~hi:5 (fun _ _ -> failwith "must not run")
 
 (* ------------------------------------------------------------------ *)
 (* exceptions and reuse                                                 *)
@@ -89,26 +77,26 @@ let test_parallel_for_covers_range () =
 exception Boom of int
 
 let test_exception_propagates () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      (match Pool.run pool [ (fun () -> 1); (fun () -> raise (Boom 7)); (fun () -> 3) ] with
-      | _ -> Alcotest.fail "expected Boom"
-      | exception Boom 7 -> ()
-      | exception e -> Alcotest.fail ("wrong exception: " ^ Printexc.to_string e));
-      (* the pool stays usable after a failed batch *)
-      check_ints "pool usable after failure" [ 10; 20 ]
-        (Pool.run pool [ (fun () -> 10); (fun () -> 20) ]))
+  let pool = Pool.get ~jobs:2 in
+  (match Pool.run pool [ (fun () -> 1); (fun () -> raise (Boom 7)); (fun () -> 3) ] with
+  | _ -> Alcotest.fail "expected Boom"
+  | exception Boom 7 -> ()
+  | exception e -> Alcotest.fail ("wrong exception: " ^ Printexc.to_string e));
+  (* the pool stays usable after a failed batch *)
+  check_ints "pool usable after failure" [ 10; 20 ]
+    (Pool.run pool [ (fun () -> 10); (fun () -> 20) ])
 
 let test_nested_run () =
   (* tasks may submit sub-batches to the same pool without deadlock:
      the awaiting caller helps drain the queue *)
-  Pool.with_pool ~jobs:2 (fun pool ->
-      let outer =
-        Pool.run pool
-          (List.init 4 (fun i () ->
-               let inner = Pool.run pool (List.init 3 (fun j () -> (10 * i) + j)) in
-               List.fold_left ( + ) 0 inner))
-      in
-      check_ints "nested totals" [ 3; 33; 63; 93 ] outer)
+  let pool = Pool.get ~jobs:2 in
+  let outer =
+    Pool.run pool
+      (List.init 4 (fun i () ->
+           let inner = Pool.run pool (List.init 3 (fun j () -> (10 * i) + j)) in
+           List.fold_left ( + ) 0 inner))
+  in
+  check_ints "nested totals" [ 3; 33; 63; 93 ] outer
 
 let test_shared_pool () =
   let p1 = Pool.get ~jobs:2 in
@@ -257,10 +245,8 @@ let suite =
       [
         Alcotest.test_case "chunk_ranges covers exactly" `Quick test_chunk_ranges_cover;
         Alcotest.test_case "chunk_ranges balanced" `Quick test_chunk_ranges_balanced;
-        Alcotest.test_case "chunk_list" `Quick test_chunk_list;
         Alcotest.test_case "run preserves order" `Quick test_run_preserves_order;
         Alcotest.test_case "map_list = List.map" `Quick test_map_list_matches_sequential;
-        Alcotest.test_case "map_array = Array.map" `Quick test_map_array_matches_sequential;
         Alcotest.test_case "jobs=1 runs in caller" `Quick test_sequential_fallback;
         Alcotest.test_case "parallel_for covers range" `Quick test_parallel_for_covers_range;
         Alcotest.test_case "exception propagates, pool survives" `Quick test_exception_propagates;

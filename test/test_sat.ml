@@ -762,13 +762,13 @@ let test_concurrent_solver_instances () =
     | Sat.Types.Undecided -> `Undecided
   in
   let sequential = List.map solve formulas in
-  Runtime.Pool.with_pool ~jobs:4 (fun pool ->
-      (* several rounds so every worker domain touches several instances *)
-      for round = 1 to 3 do
-        let parallel = Runtime.Pool.map_list pool solve formulas in
-        check (Printf.sprintf "round %d matches sequential" round) true
-          (List.for_all2 ( = ) sequential parallel)
-      done)
+  let pool = Runtime.Pool.get ~jobs:4 in
+  (* several rounds so every worker domain touches several instances *)
+  for round = 1 to 3 do
+    let parallel = Runtime.Pool.map_list pool solve formulas in
+    check (Printf.sprintf "round %d matches sequential" round) true
+      (List.for_all2 ( = ) sequential parallel)
+  done
 
 let concurrency_suite =
   [

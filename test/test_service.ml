@@ -511,6 +511,28 @@ let test_fault_injection_degraded () =
   let after = submit_ok ~what:"post-fault submit" c ~client:"fi2" trivial_anf in
   check "daemon solves after the fault" true (after.SP.status <> "degraded")
 
+(* W workers with portfolio P and pool width J need W*P + J domains; past
+   the runtime's limit the daemon refuses before binding or spawning. *)
+let test_domain_limit () =
+  let socket_path = "tsvc-limit.sock" in
+  let cfg = Service.Daemon.default_config ~socket_path in
+  let with_widths workers portfolio jobs =
+    {
+      cfg with
+      Service.Daemon.workers;
+      base_config = { cfg.Service.Daemon.base_config with Bosphorus.Config.portfolio; jobs };
+    }
+  in
+  Alcotest.(check int) "2 x 64 + 1" 129 (Service.Daemon.domains_needed (with_widths 2 64 1));
+  check "64 x 1 + 64 fits" true
+    (Service.Daemon.check_config (with_widths 64 1 64) = Ok ());
+  (match Service.Daemon.start (with_widths 2 64 1) with
+  | d ->
+      Service.Daemon.stop d;
+      Alcotest.fail "a daemon past the domain limit started"
+  | exception Invalid_argument _ -> ());
+  check "socket never bound" false (Sys.file_exists socket_path)
+
 let suite =
   [
     ( "service",
@@ -525,5 +547,6 @@ let suite =
           test_cancel_and_shutdown;
         Alcotest.test_case "daemon/fault-injection" `Quick
           test_fault_injection_degraded;
+        Alcotest.test_case "daemon/domain-limit" `Quick test_domain_limit;
       ] );
   ]
