@@ -342,9 +342,94 @@ let prop_classify_sound =
             (Anf.Eval.all_solutions [ p ])
       | P.Other -> true)
 
+let prop_subst_oracle =
+  QCheck.Test.make ~name:"poly: subst = sort-everything subst" ~count:500
+    QCheck.(triple arb_poly arb_poly (int_bound 7))
+    (fun (p, by, target) -> P.equal (P.subst p ~target ~by) (Anf_oracle.subst p ~target ~by))
+
+let prop_vars_oracle =
+  QCheck.Test.make ~name:"poly: vars = set model" ~count:500 arb_poly (fun p ->
+      P.vars p = Anf_oracle.vars p && Array.to_list (P.vars_array p) = Anf_oracle.vars p)
+
+(* Anf.System against a list model: random add/remove/replace/copy
+   sequences over a handful of variables, checking every observable after
+   each step.  [Copy] continues on the copy and keeps checking the
+   original against its own frozen model. *)
+type sys_op = Add of P.t | Remove of int | Replace of int * P.t | Copy
+
+let sys_op_gen =
+  let small_poly =
+    QCheck.Gen.(map P.of_monomials (list_size (int_bound 3) (map M.of_vars (list_size (int_bound 3) (int_bound 5)))))
+  in
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun p -> Add p) small_poly);
+        (2, map (fun i -> Remove i) (int_bound 30));
+        (2, map2 (fun i p -> Replace (i, p)) (int_bound 30) small_poly);
+        (1, return Copy);
+      ])
+
+let sys_op_print = function
+  | Add p -> "add " ^ pstr p
+  | Remove i -> Printf.sprintf "remove %d" i
+  | Replace (i, p) -> Printf.sprintf "replace %d %s" i (pstr p)
+  | Copy -> "copy"
+
+(* the model: live (id, poly) pairs in ascending id order, and the next id *)
+let model_add (live, next) p =
+  if P.is_zero p || List.exists (fun (_, q) -> P.equal p q) live then ((live, next), None)
+  else ((live @ [ (next, p) ], next + 1), Some next)
+
+let model_remove (live, next) id = (List.filter (fun (i, _) -> i <> id) live, next)
+
+let model_agrees s (live, _) =
+  let ok = ref true in
+  let expect b = if not b then ok := false in
+  expect (Anf.System.size s = List.length live);
+  expect (List.for_all2 P.equal (Anf.System.to_list s) (List.map snd live));
+  let max_var = List.fold_left (fun acc (_, p) -> max acc (P.max_var p)) (-1) live in
+  expect (Anf.System.nvars s = max_var + 1);
+  for x = 0 to 6 do
+    let ids = List.filter_map (fun (i, p) -> if P.contains_var p x then Some i else None) live in
+    expect (Anf.System.occurrences s x = ids);
+    expect (Anf.System.occurrence_count s x = List.length ids)
+  done;
+  List.iter (fun (i, p) -> expect (Option.map (P.equal p) (Anf.System.find s i) = Some true)) live;
+  !ok
+
+let prop_system_model =
+  QCheck.Test.make ~name:"system: add/remove/replace/copy = list model" ~count:300
+    QCheck.(make ~print:(QCheck.Print.list sys_op_print) (QCheck.Gen.list_size (QCheck.Gen.int_bound 40) sys_op_gen))
+    (fun ops ->
+      let s = ref (Anf.System.create []) and model = ref ([], 0) in
+      let frozen = ref [] in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Add p ->
+              let m, id = model_add !model p in
+              model := m;
+              if Anf.System.add !s p <> id then QCheck.Test.fail_report "add id"
+          | Remove i ->
+              model := model_remove !model i;
+              Anf.System.remove !s i
+          | Replace (i, p) ->
+              let m, id = model_add (model_remove !model i) p in
+              model := m;
+              if Anf.System.replace !s i p <> id then QCheck.Test.fail_report "replace id"
+          | Copy ->
+              frozen := (!s, !model) :: !frozen;
+              s := Anf.System.copy !s);
+          model_agrees !s !model && List.for_all (fun (s, m) -> model_agrees s m) !frozen)
+        ops)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_subst_oracle;
+      prop_vars_oracle;
+      prop_system_model;
       prop_mono_compare_model;
       prop_add_comm;
       prop_add_assoc;

@@ -752,9 +752,86 @@ let prop_incremental_matches_fresh =
       verdict inc = verdict fresh
       && List.equal P.equal (fact_polys inc) (fact_polys fresh))
 
+(* Random propagation states: values, equivalences and negated
+   equivalences over 10 variables, so classes share roots and some roots
+   are fixed.  Conflicting steps are simply refused by the state. *)
+type prop_step = Set_value of int * bool | Equate of int * int * bool
+
+let prop_state_gen =
+  QCheck.Gen.(
+    list_size (int_bound 12)
+      (frequency
+         [
+           (1, map2 (fun x v -> Set_value (x, v)) (int_bound 9) bool);
+           (3, map3 (fun x y n -> Equate (x, y, n)) (int_bound 9) (int_bound 9) bool);
+         ]))
+
+let prop_state_of steps =
+  let st = B.Anf_prop.create () in
+  List.iter
+    (function
+      | Set_value (x, v) -> ignore (B.Anf_prop.assign st x v)
+      | Equate (x, y, negated) -> ignore (B.Anf_prop.equate st x y ~negated))
+    steps;
+  st
+
+let prop_normalise_oracle =
+  QCheck.Test.make ~name:"anf_prop: one-pass normalise = subst chain" ~count:500
+    (QCheck.make
+       ~print:(fun (_, p) -> P.to_string p)
+       QCheck.Gen.(
+         pair prop_state_gen
+           (map P.of_monomials
+              (list_size (int_bound 8)
+                 (map Anf.Monomial.of_vars (list_size (int_bound 4) (int_bound 11)))))))
+    (fun (steps, p) ->
+      let st = prop_state_of steps in
+      P.equal (B.Anf_prop.normalise st p) (Anf_oracle.normalise st p))
+
+(* A random triangular substitution list: distinct x_1..x_k, each by_i a
+   linear polynomial over variables other than x_1..x_i (later x_j may
+   occur), as ElimLin builds them. *)
+let prop_elimlin_reduce_oracle =
+  let gen =
+    QCheck.Gen.(
+      let* order = shuffle_l (List.init 12 Fun.id) in
+      let* k = int_range 0 8 in
+      let xs = List.filteri (fun i _ -> i < k) order in
+      let linear_over allowed =
+        let* picks = list_size (int_bound 5) (oneofl allowed) in
+        let* c = bool in
+        return (P.add (P.of_monomials (List.map Anf.Monomial.var picks)) (P.constant c))
+      in
+      let rec subs earlier = function
+        | [] -> return []
+        | x :: rest ->
+            let earlier = x :: earlier in
+            let allowed = List.filter (fun v -> not (List.mem v earlier)) (List.init 12 Fun.id) in
+            let* by = if allowed = [] then return P.zero else linear_over allowed in
+            let* tail = subs earlier rest in
+            return ((x, by) :: tail)
+      in
+      let* applied = subs [] xs in
+      let* l = linear_over (List.init 12 Fun.id) in
+      return (applied, l))
+  in
+  QCheck.Test.make ~name:"elimlin: table reduction = sequential substitution" ~count:500
+    (QCheck.make
+       ~print:(fun (applied, l) ->
+         String.concat ", "
+           (List.map (fun (x, by) -> Printf.sprintf "x%d := %s" x (P.to_string by)) applied)
+         ^ " | " ^ P.to_string l)
+       gen)
+    (fun (applied, l) ->
+      let t = B.Elimlin.Substitutions.create () in
+      List.iter (fun (x, by) -> B.Elimlin.Substitutions.record t x (P.add (P.var x) by)) applied;
+      P.equal (B.Elimlin.Substitutions.reduce t l) (Anf_oracle.normalise_by_applied applied l))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_normalise_oracle;
+      prop_elimlin_reduce_oracle;
       prop_conversion_equisatisfiable;
       prop_cnf_to_anf_equisatisfiable;
       prop_driver_decides_correctly;
