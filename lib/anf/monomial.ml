@@ -13,7 +13,6 @@ let of_vars xs =
   Array.of_list sorted
 
 let vars m = Array.to_list m
-let iter f m = Array.iter f m
 let degree m = Array.length m
 let is_one m = Array.length m = 0
 
@@ -165,31 +164,21 @@ let rec rewrite_from lit (m : t) (buf : int array) i n =
 let rewrite lit m buf = rewrite_from lit m buf 0 0
 
 let of_lits (buf : int array) n ~mask =
-  let size = ref 0 and bit = ref 1 in
+  (* plain codes are always kept, the j-th negated one iff bit j of mask *)
+  let kept i j = buf.(i) land 1 = 0 || mask land (1 lsl j) <> 0 in
+  let size = ref 0 and j = ref 0 in
   for i = 0 to n - 1 do
-    let c = buf.(i) in
-    if c land 1 = 0 then incr size
-    else begin
-      if mask land !bit <> 0 then incr size;
-      bit := !bit lsl 1
-    end
+    if kept i !j then incr size;
+    if buf.(i) land 1 = 1 then incr j
   done;
-  let out = Array.make !size 0 in
-  let k = ref 0 in
-  bit := 1;
+  let out = Array.make !size 0 and k = ref 0 in
+  j := 0;
   for i = 0 to n - 1 do
-    let c = buf.(i) in
-    let keep =
-      c land 1 = 0
-      ||
-      let b = mask land !bit <> 0 in
-      bit := !bit lsl 1;
-      b
-    in
-    if keep then begin
-      out.(!k) <- c lsr 1;
+    if kept i !j then begin
+      out.(!k) <- buf.(i) lsr 1;
       incr k
-    end
+    end;
+    if buf.(i) land 1 = 1 then incr j
   done;
   out
 

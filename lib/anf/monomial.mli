@@ -21,9 +21,6 @@ val of_vars : int list -> t
 (** Ascending list of variables in the monomial. *)
 val vars : t -> int list
 
-(** [iter f m] applies [f] to the variables of [m] in ascending order. *)
-val iter : (int -> unit) -> t -> unit
-
 (** Number of distinct variables. *)
 val degree : t -> int
 

@@ -26,7 +26,10 @@ val assign : state -> int -> bool -> [ `Ok | `Conflict ]
 val equate : state -> int -> int -> negated:bool -> [ `Ok | `Conflict ]
 
 (** [normalise state p] rewrites [p] replacing every determined variable by
-    its value and every variable by its representative literal. *)
+    its value and every variable by its representative literal, in one
+    pass over the monomials ({!Anf.Poly.rewrite}); [p] itself comes back
+    when no variable of it has a value or a representative other than
+    itself. *)
 val normalise : state -> Anf.Poly.t -> Anf.Poly.t
 
 (** Determined variables as [(var, value)], ascending. *)
