@@ -71,7 +71,7 @@ let occ_append t x id =
   if Array.unsafe_get t.occ_len x >= Array.length ids then begin
     compact t x;
     let n = Array.unsafe_get t.occ_len x in
-    (* grow only when compaction left the array more than half full *)
+    (* grow only when compaction left the array at least half full *)
     if 2 * n >= Array.length ids then begin
       let wider = Array.make (max 4 (2 * Array.length ids)) 0 in
       Array.blit ids 0 wider 0 n;
