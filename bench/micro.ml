@@ -70,8 +70,8 @@ let xl_pass =
          Bosphorus.Xl.run ~config:Bosphorus.Config.default ~rng:(Random.State.make [| 1 |]) eqs))
 
 (* ------------------------------------------------------------------ *)
-(* Parallel kernels: domain-pool speedup of M4RM elimination and XL     *)
-(* expansion, measured jobs=1 vs jobs=N with result-equality checks.    *)
+(* Parallel kernels: domain-pool speedup of M4RM elimination, the one  *)
+(* parallel kernel, measured jobs=1 vs jobs=N with an equality check.  *)
 (* ------------------------------------------------------------------ *)
 
 let best_of ~reps f =
@@ -84,53 +84,28 @@ let best_of ~reps f =
   done;
   (Option.get !result, !best)
 
-(* [best_of] for two functions, interleaved rep by rep in alternating
-   order, so that neither side is timed while only the other's results
-   are alive: on the 26000-row linearisation one result holds 140 MB of
-   rows, and timing the second side after the first finished measured
-   the same code 1.6x slower. *)
-let best_of_pair ~reps f g =
-  let bf = ref infinity and bg = ref infinity in
-  let rf = ref None and rg = ref None in
-  let run best result h =
-    let x, w = Harness.Timing.time h in
-    if w < !best then best := w;
-    result := Some x
-  in
-  for rep = 1 to reps do
-    if rep land 1 = 1 then (run bf rf f; run bg rg g) else (run bg rg g; run bf rf f)
-  done;
-  (Option.get !rf, !bf, Option.get !rg, !bg)
-
-let random_polys ~n_polys ~n_vars ~terms rng =
-  List.init n_polys (fun _ ->
-      Anf.Poly.of_monomials
-        (List.init terms (fun _ ->
-             Anf.Monomial.of_vars
-               (List.init 2 (fun _ -> Random.State.int rng n_vars)))))
-
 let parallel_kernels ~quick ~jobs ?json () =
   Format.printf "@.=== Parallel kernels (domain pool, jobs=1 vs jobs=%d) ===@.@." jobs;
   let reps = if quick then 3 else 5 in
-  let record family wall rank facts =
+  let record family wall rank =
     match json with
     | None -> ()
-    | Some j -> Json_out.add j ~experiment:"micro" ~family ~wall_s:wall ?facts ?rank ~jobs:1 ()
+    | Some j -> Json_out.add j ~experiment:"micro" ~family ~wall_s:wall ~rank ~jobs:1 ()
   in
   (* jobs=N records carry the granularity decision the kernel actually
      took ([chosen_parallel] = 1 when it dispatched on the pool, 0 when
      its work-size cutoff kept it inline) *)
-  let record_j ?(extras = []) family wall rank facts =
+  let record_j ~extras family wall rank =
     match json with
     | None -> ()
-    | Some j ->
-        Json_out.add j ~experiment:"micro" ~family ~wall_s:wall ?facts ?rank ~extras ~jobs ()
+    | Some j -> Json_out.add j ~experiment:"micro" ~family ~wall_s:wall ~rank ~extras ~jobs ()
   in
   let mode_extras chosen = [ ("chosen_parallel", if chosen then 1.0 else 0.0) ] in
   let mode_label chosen = if chosen then "pool" else "inline" in
   let rows = ref [] in
-  (* M4RM panel update *)
-  let n = if quick then 512 else 1024 in
+  (* M4RM panel update: the full size is past the dispatch cutoff, so
+     jobs=N really runs on the pool (the quick size stays inline) *)
+  let n = if quick then 512 else 4096 in
   let m = random_matrix n in
   let (rank1, m1), w1 =
     best_of ~reps (fun () ->
@@ -144,52 +119,17 @@ let parallel_kernels ~quick ~jobs ?json () =
   in
   let identical =
     rank1 = rankn
-    && Format.asprintf "%a" Gf2.Matrix.pp m1 = Format.asprintf "%a" Gf2.Matrix.pp mn
+    && List.for_all
+         (fun i -> Gf2.Bitvec.equal (Gf2.Matrix.row m1 i) (Gf2.Matrix.row mn i))
+         (List.init n Fun.id)
   in
   if not identical then failwith "micro: parallel M4RM diverged from sequential";
   let name = Printf.sprintf "m4rm_%d" n in
   let m4rm_mode = Gf2.Matrix.m4rm_parallel_worthwhile ~rows:n ~cols:n ~jobs () in
-  record (name ^ "_jobs1") w1 (Some rank1) None;
-  record_j ~extras:(mode_extras m4rm_mode)
-    (Printf.sprintf "%s_jobs%d" name jobs) wn (Some rankn) None;
+  record (name ^ "_jobs1") w1 rank1;
+  record_j ~extras:(mode_extras m4rm_mode) (Printf.sprintf "%s_jobs%d" name jobs) wn rankn;
   rows := [ name; Printf.sprintf "%.4f" w1; Printf.sprintf "%.4f" wn;
             Printf.sprintf "%.2fx" (w1 /. wn); mode_label m4rm_mode; "bit-identical" ] :: !rows;
-  (* XL expansion *)
-  let rng = Random.State.make [| 41 |] in
-  let n_polys = if quick then 150 else 400 in
-  let n_vars = if quick then 48 else 64 in
-  let polys = random_polys ~n_polys ~n_vars ~terms:8 rng in
-  let mults =
-    Bosphorus.Xl.multipliers ~vars:(List.init n_vars (fun i -> i)) ~degree:1
-  in
-  (* XL expansion and linearization have no parallel path: both records
-     of each pair time the same sequential code, so the pair shows only
-     run-to-run noise *)
-  let expand () = Bosphorus.Xl.expand ~multipliers:mults polys in
-  let e1, we1, en, wen = best_of_pair ~reps expand expand in
-  if not (List.length e1 = List.length en && List.for_all2 Anf.Poly.equal e1 en) then
-    failwith "micro: XL expansion is not deterministic";
-  let name = Printf.sprintf "xl_expand_%dx%d" n_polys (List.length mults) in
-  record (name ^ "_jobs1") we1 None (Some (List.length e1));
-  record_j ~extras:(mode_extras false)
-    (Printf.sprintf "%s_jobs%d" name jobs) wen None (Some (List.length en));
-  rows := [ name; Printf.sprintf "%.4f" we1; Printf.sprintf "%.4f" wen;
-            Printf.sprintf "%.2fx" (we1 /. wen); mode_label false; "list-identical" ] :: !rows;
-  (* Linearize.build *)
-  let build () = Bosphorus.Linearize.build e1 in
-  let (lin1, mat1), wl1, (linn, matn), wln = best_of_pair ~reps build build in
-  let row_lists m = List.init (Gf2.Matrix.rows m) (fun i -> Gf2.Bitvec.to_list (Gf2.Matrix.row m i)) in
-  if
-    not
-      (Bosphorus.Linearize.n_columns lin1 = Bosphorus.Linearize.n_columns linn
-      && List.equal (List.equal Int.equal) (row_lists mat1) (row_lists matn))
-  then failwith "micro: linearization is not deterministic";
-  let name = Printf.sprintf "linearize_%dx%d" (List.length e1) (Bosphorus.Linearize.n_columns lin1) in
-  record (name ^ "_jobs1") wl1 None None;
-  record_j ~extras:(mode_extras false)
-    (Printf.sprintf "%s_jobs%d" name jobs) wln None None;
-  rows := [ name; Printf.sprintf "%.4f" wl1; Printf.sprintf "%.4f" wln;
-            Printf.sprintf "%.2fx" (wl1 /. wln); mode_label false; "matrix-identical" ] :: !rows;
   Format.printf "%s@."
     (Harness.Table.render
        ~title:(Printf.sprintf "parallel kernels (best of %d, %d host domains)" reps

@@ -28,6 +28,7 @@ type term = Mono of M.t | Cut_aux of int
 
 type state = {
   config : Config.t;
+  anf_nvars : int; (* CNF variables below it are the ANF variables *)
   mutable clauses : C.t list; (* reversed *)
   var_of_mono : int Mtbl.t;
   mono_of_var : (int, M.t) Hashtbl.t;
@@ -256,6 +257,7 @@ let make_state ~config ~anf_nvars =
     invalid_arg "Anf_to_cnf: karnaugh_vars (K) above 8";
   {
     config;
+    anf_nvars;
     clauses = [];
     var_of_mono = Mtbl.create 64;
     mono_of_var = Hashtbl.create 64;
@@ -267,15 +269,11 @@ let make_state ~config ~anf_nvars =
     xors = [];
   }
 
-let convert ?(nvars = 0) ~config polys =
-  let anf_nvars =
-    List.fold_left (fun acc p -> max acc (P.max_var p + 1)) nvars polys
-  in
-  let st = make_state ~config ~anf_nvars in
-  List.iter (convert_polynomial st) polys;
+(* Everything [st] has encoded so far, as one conversion. *)
+let conversion st =
   {
     formula = Cnf.Formula.create ~nvars:st.next_var (List.rev st.clauses);
-    anf_nvars;
+    anf_nvars = st.anf_nvars;
     mono_of_var = st.mono_of_var;
     n_monomial_aux = st.n_monomial_aux;
     n_cut_aux = st.n_cut_aux;
@@ -283,6 +281,14 @@ let convert ?(nvars = 0) ~config polys =
     n_tseitin = st.n_tseitin;
     xors = List.rev st.xors;
   }
+
+let convert ?(nvars = 0) ~config polys =
+  let anf_nvars =
+    List.fold_left (fun acc p -> max acc (P.max_var p + 1)) nvars polys
+  in
+  let st = make_state ~config ~anf_nvars in
+  List.iter (convert_polynomial st) polys;
+  conversion st
 
 let convert_poly_clauses ~config p =
   let st = make_state ~config ~anf_nvars:(P.max_var p + 1) in
@@ -306,28 +312,16 @@ end)
    encoded is a GF(2) consequence of the original system (XL, ElimLin and
    SAT facts only derive consequences), so stale clauses stay sound even
    when linear compression replaces the polynomial list wholesale. *)
-type incremental = {
-  inc_state : state;
-  seen : unit Ptbl.t;
-  inc_anf_nvars : int;
-  mutable inc_rounds : int;
-}
+type incremental = { inc_state : state; seen : unit Ptbl.t }
 
 type delta = {
   delta_clauses : Cnf.Clause.t list;  (** clauses new in this round, in order *)
-  delta_xors : (int list * bool) list;  (** XOR rows new in this round, in order *)
   n_encoded : int;
   n_reused : int;
-  cnf_nvars : int;
 }
 
 let create_incremental ~config ~anf_nvars =
-  {
-    inc_state = make_state ~config ~anf_nvars;
-    seen = Ptbl.create 256;
-    inc_anf_nvars = anf_nvars;
-    inc_rounds = 0;
-  }
+  { inc_state = make_state ~config ~anf_nvars; seen = Ptbl.create 256 }
 
 (* New clauses are the physical prefix of the (reversed) clause list added
    since the snapshot. *)
@@ -338,11 +332,10 @@ let clauses_since stop l =
 let encode_round inc polys =
   let st = inc.inc_state in
   let before = st.clauses in
-  let xors_before = st.xors in
   let n_encoded = ref 0 and n_reused = ref 0 in
   List.iter
     (fun p ->
-      if P.max_var p >= inc.inc_anf_nvars then
+      if P.max_var p >= st.anf_nvars then
         invalid_arg
           "Anf_to_cnf.encode_round: polynomial over variables beyond the \
            declared ANF range";
@@ -353,28 +346,12 @@ let encode_round inc polys =
         incr n_encoded
       end)
     polys;
-  inc.inc_rounds <- inc.inc_rounds + 1;
   {
     delta_clauses = clauses_since before st.clauses;
-    delta_xors = clauses_since xors_before st.xors;
     n_encoded = !n_encoded;
     n_reused = !n_reused;
-    cnf_nvars = st.next_var;
   }
 
 (* Cumulative view of everything encoded so far, in the same shape as
    one-shot {!convert} — this is what the audit trail records per round. *)
-let snapshot inc =
-  let st = inc.inc_state in
-  {
-    formula = Cnf.Formula.create ~nvars:st.next_var (List.rev st.clauses);
-    anf_nvars = inc.inc_anf_nvars;
-    mono_of_var = st.mono_of_var;
-    n_monomial_aux = st.n_monomial_aux;
-    n_cut_aux = st.n_cut_aux;
-    n_karnaugh = st.n_karnaugh;
-    n_tseitin = st.n_tseitin;
-    xors = List.rev st.xors;
-  }
-
-let n_rounds inc = inc.inc_rounds
+let snapshot inc = conversion inc.inc_state

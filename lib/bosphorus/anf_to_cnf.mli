@@ -59,12 +59,8 @@ type incremental
 (** Result of one {!encode_round}. *)
 type delta = {
   delta_clauses : Cnf.Clause.t list;  (** clauses new in this round, in order *)
-  delta_xors : (int list * bool) list;
-      (** XOR rows underlying this round's new linear pieces, in order
-          (see {!conversion.xors}) *)
   n_encoded : int;  (** polynomials encoded this round *)
   n_reused : int;  (** polynomials skipped as already encoded *)
-  cnf_nvars : int;  (** total CNF variables after this round *)
 }
 
 (** [create_incremental ~config ~anf_nvars] fixes the ANF variable range
@@ -80,6 +76,3 @@ val encode_round : incremental -> Anf.Poly.t list -> delta
 (** Cumulative view of everything encoded so far, in the same shape as
     one-shot {!convert}; what the audit trail records per round. *)
 val snapshot : incremental -> conversion
-
-(** Rounds encoded so far. *)
-val n_rounds : incremental -> int

@@ -50,20 +50,24 @@ type t = {
           every learnt fact after the run.  Off by default: proof logging
           retains every learnt clause. *)
   jobs : int;
-      (** domain-pool width for the parallel kernels: GF(2) elimination
-          panel updates, XL expansion and linearizer column hashing all
-          fan out over [jobs] domains of the shared {!Runtime.Pool}.
-          1 (the default) runs everything sequentially on the calling
-          domain.  Results are identical for every value — see DESIGN.md,
-          "Parallel runtime". *)
+      (** domain-pool width for the one parallel kernel: the trailing
+          panel update of M4RM elimination ({!Gf2.Matrix.rref_m4rm}, used
+          by XL, ElimLin and linear compression) fans out over [jobs]
+          domains of the shared {!Runtime.Pool} once a matrix is large
+          enough.  1 (the default) runs everything sequentially on the
+          calling domain.  Results are identical for every value — see
+          DESIGN.md, "Parallel runtime". *)
   incremental_sat : bool;
-      (** keep one SAT solver and one ANF-to-CNF conversion state alive
-          across loop iterations: each round encodes only the
-          not-yet-seen polynomials and feeds the delta clauses to the
-          running solver, which keeps its learnt clauses, VSIDS
-          activities and saved phases.  Semantics-preserving (the final
-          fact set matches the from-scratch driver); on by default.
-          See DESIGN.md, "Clause arena & incremental SAT rounds". *)
+      (** keep the SAT stage's state — one ANF-to-CNF conversion state
+          and one solver — alive across loop iterations: each round
+          encodes only the not-yet-seen polynomials and feeds the delta
+          clauses to the running solver, which keeps its learnt clauses,
+          VSIDS activities and saved phases.  On by default.  [false]
+          (fresh mode) is the same stage restarted every round: a new
+          conversion of the round's whole snapshot and a new solver, so
+          nothing carries between rounds and no session is pinned.  Both
+          modes reach the same verdicts.  See DESIGN.md, "Clause arena &
+          incremental SAT rounds". *)
   timeout_s : float option;
       (** global wall-clock budget for one driver run ([--timeout]).  On
           expiry the run degrades gracefully: in-flight stages stop at

@@ -38,16 +38,20 @@ let all_stages = { use_xl = true; use_elimlin = true; use_sat = true; use_groebn
 
 module PSet = Set.Make (P)
 
+let nvars_of polys = List.fold_left (fun acc p -> max acc (P.max_var p + 1)) 0 polys
+
 module Session = struct
-  (* What survives between runs: the incremental conversion state, the
-     warm solver, the fact-extraction high-water marks that keep already
-     harvested units/binaries from being re-extracted, and the variable
-     range the conversion was fixed to.  [fed] counts the delta clauses
-     fed to this solver since it was pinned — exactly what a compatible
-     next run starts out knowing. *)
+  (* The SAT stage's state, which lives across the rounds of a run and,
+     pinned in a session, across runs: the incremental conversion state,
+     the warm solver, the fact-extraction high-water marks that keep
+     already harvested units/binaries from being re-extracted, and the
+     variable range the conversion was fixed to.  [fed] and [polys] count
+     the clauses fed to this solver and the polynomials encoded since the
+     state was built — exactly what a compatible next run starts out
+     knowing. *)
   type state = {
     inc : Anf_to_cnf.incremental;
-    solver : Sat.Solver.t;
+    mutable solver : Sat.Solver.t;
     mutable units_hwm : int;
     mutable bins_hwm : int;
     mutable xors_hwm : int;
@@ -88,11 +92,26 @@ module Session = struct
     match t.st with
     | None -> false
     | Some st ->
-        let nvars =
-          List.fold_left (fun acc p -> max acc (P.max_var p + 1)) 0 polys
-        in
-        nvars <= st.anf_nvars
-        && PSet.subset t.inputs (PSet.of_list polys)
+        nvars_of polys <= st.anf_nvars && PSet.subset t.inputs (PSet.of_list polys)
+
+  (* A run owns the state while it runs: it takes the state out of the
+     session when it starts, counting a reset if a pin it cannot reuse is
+     discarded, and puts it back with [pin] when it ends, so a run that
+     raises leaves nothing pinned. *)
+  let take t ~config polys =
+    let reuse = compatible t ~config polys in
+    t.n_runs <- t.n_runs + 1;
+    if (not reuse) && Option.is_some t.st then t.n_resets <- t.n_resets + 1;
+    let st = if reuse then t.st else None in
+    t.st <- None;
+    t.inputs <- PSet.empty;
+    t.cfg <- None;
+    st
+
+  let pin t ~config polys st =
+    t.st <- Some st;
+    t.inputs <- PSet.of_list polys;
+    t.cfg <- Some config
 end
 
 (* Extract ANF facts from the SAT solver's learnt units and binaries
@@ -225,14 +244,12 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
           ?max_memory_monomials:config.Config.max_memory_monomials
           ?max_total_conflicts:config.Config.max_total_conflicts ()
   in
-  let orig_nvars = List.fold_left (fun acc p -> max acc (P.max_var p + 1)) 0 polys in
+  let orig_nvars = nvars_of polys in
   (* Pinned-session reuse is decided once, up front, against the same
-     compatibility rule the daemon consults; an incompatible session is
-     ignored here and re-pinned (reset) at the end of the run. *)
-  let session_reused =
-    match session with
-    | Some s -> Session.compatible s ~config polys
-    | None -> false
+     compatibility rule the daemon consults; an incompatible pin is
+     discarded here and the session re-pinned at the end of the run. *)
+  let sat_state =
+    ref (match session with Some s -> Session.take s ~config polys | None -> None)
   in
   let master = S.create polys in
   let trail =
@@ -263,10 +280,7 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
     let linear = ref [] in
     S.iter master (fun id p -> if P.is_linear p then linear := (id, p) :: !linear);
     let polys = List.map snd !linear in
-    let nvars_live =
-      List.fold_left (fun acc p -> max acc (P.max_var p + 1)) 0 polys
-    in
-    if List.length polys > nvars_live + 8 then begin
+    if List.length polys > nvars_of polys + 8 then begin
       let basis = (Linearize.reduce ~jobs:config.Config.jobs polys).Linearize.rows in
       List.iter (fun (id, _) -> S.remove master id) !linear;
       List.iter (fun p -> ignore (S.add master p)) basis;
@@ -309,13 +323,7 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
             let base = if root < Array.length model then model.(root) else false in
             (x, base <> parity))
   in
-  let record_trail ~formula solver =
-    match trail with
-    | Some tr ->
-        Audit_trail.record_sat_stage tr ~formula ~proof:(Sat.Solver.proof solver)
-    | None -> ()
-  in
-  (* Shared post-solve harvesting: turn the solver's result and its new
+  (* Post-solve harvesting: turn the solver's result and its new
      units/binaries into ANF facts and fold them into the master. *)
   let harvest ~anf_nvars ~mono_of_var ~solver ~result ~units ~binaries ~candidates =
     let probed =
@@ -340,17 +348,6 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
     | Sat.Types.Undecided -> add_facts Facts.Sat_solver learnt
   in
   let sat_rounds = ref [] in
-  let push_round ~encoded ~reused ~delta_clauses ~props ~conflicts =
-    sat_rounds :=
-      {
-        round_encoded = encoded;
-        round_reused = reused;
-        round_delta_clauses = delta_clauses;
-        round_propagations = props;
-        round_conflicts = conflicts;
-      }
-      :: !sat_rounds
-  in
   (* Per-round solver budget: the adaptive ladder, clipped to whatever the
      global conflict ceiling still allows.  Cumulative accounting below
      charges the solver-reported conflict count — never the requested
@@ -425,87 +422,57 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
         o.Sat.Portfolio.binaries )
     end
   in
-  (* From-scratch SAT stage: re-encode the whole master and solve in a
-     fresh solver (the reference semantics; Config.incremental_sat=false). *)
-  let sat_stage_fresh () =
+  (* The SAT stage runs on one state, [!sat_state]: a conversion state
+     and a solver that persist across rounds.  Each round encodes only the
+     not-yet-seen polynomials, feeds the delta clauses to the running
+     solver (learnt clauses, VSIDS activities and saved phases survive),
+     and harvests only the facts found since the previous round, via
+     high-water marks.  Fresh mode (Config.incremental_sat = false) puts a
+     new state in place before each round, built as one-shot conversion
+     would build it: the conversion spans the round's snapshot and the
+     solver is sized to its formula.  So a fresh round encodes everything
+     and every mark starts at 0. *)
+  let sat_stage () =
+    incr sat_calls;
     let snapshot = S.to_list master in
-    let conv = Anf_to_cnf.convert ~config snapshot in
-    let solver0 = Sat.Solver.create ~nvars:(Cnf.Formula.nvars conv.Anf_to_cnf.formula) () in
-    incr sat_calls;
-    if trail <> None then Sat.Solver.enable_proof solver0;
-    let solver = ref solver0 and extra = ref 0 in
-    let added =
-      let ok =
-        Sat.Solver.add_formula solver0 conv.Anf_to_cnf.formula
-        && ((not (gauss_wanted (List.length conv.Anf_to_cnf.xors)))
-           || feed_xors solver0 conv.Anf_to_cnf.xors)
-      in
-      if not ok then begin
-        ignore (add_facts Facts.Sat_solver [ P.one ]);
-        unsat := true;
-        0
-      end
-      else begin
-        let result, surv, xtra, xunits, xbins = solve_round solver0 in
-        solver := surv;
-        extra := xtra;
-        let binaries = Sat.Solver.learnt_binaries surv @ xbins in
-        harvest ~anf_nvars:conv.Anf_to_cnf.anf_nvars
-          ~mono_of_var:conv.Anf_to_cnf.mono_of_var ~solver:surv ~result
-          ~units:(Sat.Solver.root_units surv @ xunits) ~binaries
-          ~candidates:binaries
-      end
-    in
-    let st = Sat.Solver.stats !solver in
-    push_round ~encoded:(List.length snapshot) ~reused:0
-      ~delta_clauses:(List.length (Cnf.Formula.clauses conv.Anf_to_cnf.formula))
-      ~props:st.Sat.Types.propagations
-      ~conflicts:(st.Sat.Types.conflicts + !extra);
-    record_trail ~formula:conv.Anf_to_cnf.formula !solver;
-    Harness.Budget.charge_conflicts budget ~layer:"sat"
-      (st.Sat.Types.conflicts + !extra);
-    added
-  in
-  (* Incremental SAT stage: one conversion state and one solver persist
-     across rounds.  Each round encodes only the not-yet-seen polynomials,
-     feeds the delta clauses to the running solver (learnt clauses, VSIDS
-     activities and saved phases survive), and extracts only the facts
-     found since the previous round via high-water marks. *)
-  let inc_sat = ref None in
-  let units_hwm = ref 0 and bins_hwm = ref 0 and xors_hwm = ref 0 in
-  (match session with
-  | Some s when session_reused -> (
-      match s.Session.st with
+    if not config.Config.incremental_sat then sat_state := None;
+    let st, delta, conv =
+      match !sat_state with
       | Some st ->
-          inc_sat := Some (st.Session.inc, st.Session.solver);
-          units_hwm := st.Session.units_hwm;
-          bins_hwm := st.Session.bins_hwm;
-          xors_hwm := st.Session.xors_hwm
-      | None -> ())
-  | Some _ | None -> ());
-  let sat_stage_incremental () =
-    incr sat_calls;
-    let inc, solver =
-      match !inc_sat with
-      | Some pair -> pair
+          let delta = Anf_to_cnf.encode_round st.Session.inc snapshot in
+          (st, delta, Anf_to_cnf.snapshot st.Session.inc)
       | None ->
-          let i = Anf_to_cnf.create_incremental ~config ~anf_nvars:orig_nvars in
-          let s = Sat.Solver.create ~nvars:orig_nvars () in
-          if trail <> None then Sat.Solver.enable_proof s;
-          let pair = (i, s) in
-          inc_sat := Some pair;
-          pair
+          (* an incremental state is fixed to the input's variable range,
+             which every later round and run stays within *)
+          let anf_nvars =
+            if config.Config.incremental_sat then orig_nvars else nvars_of snapshot
+          in
+          let inc = Anf_to_cnf.create_incremental ~config ~anf_nvars in
+          let delta = Anf_to_cnf.encode_round inc snapshot in
+          let conv = Anf_to_cnf.snapshot inc in
+          let nvars =
+            if config.Config.incremental_sat then anf_nvars
+            else Cnf.Formula.nvars conv.Anf_to_cnf.formula
+          in
+          let solver = Sat.Solver.create ~nvars () in
+          if trail <> None then Sat.Solver.enable_proof solver;
+          let st =
+            { Session.inc; solver; units_hwm = 0; bins_hwm = 0; xors_hwm = 0;
+              anf_nvars; fed = 0; polys = 0 }
+          in
+          sat_state := Some st;
+          (st, delta, conv)
     in
-    let delta = Anf_to_cnf.encode_round inc (S.to_list master) in
-    let stats0 = Sat.Solver.stats solver in
+    let stats0 = Sat.Solver.stats st.Session.solver in
     let props0 = stats0.Sat.Types.propagations
     and conflicts0 = stats0.Sat.Types.conflicts in
-    let conv = Anf_to_cnf.snapshot inc in
     let clauses_ok =
       List.for_all
-        (fun c -> Sat.Solver.add_clause solver (Cnf.Clause.to_list c))
+        (fun c -> Sat.Solver.add_clause st.Session.solver (Cnf.Clause.to_list c))
         delta.Anf_to_cnf.delta_clauses
     in
+    st.Session.fed <- st.Session.fed + List.length delta.Anf_to_cnf.delta_clauses;
+    st.Session.polys <- st.Session.polys + delta.Anf_to_cnf.n_encoded;
     (* Feed the parity engine the cumulative conversion's rows beyond the
        high-water mark.  The gate tests the cumulative count, so a run
        under [Gauss_auto] that crosses the threshold mid-stream feeds every
@@ -518,49 +485,52 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
       let n_xors = List.length all_xors in
       (not (gauss_wanted n_xors))
       ||
-      let fresh_rows = List.filteri (fun i _ -> i >= !xors_hwm) all_xors in
-      xors_hwm := n_xors;
-      feed_xors solver fresh_rows
+      let fresh_rows = List.filteri (fun i _ -> i >= st.Session.xors_hwm) all_xors in
+      st.Session.xors_hwm <- n_xors;
+      feed_xors st.Session.solver fresh_rows
     in
-    let surviving = ref solver and extra = ref 0 in
-    let added =
+    let added, extra =
       if not clauses_ok then begin
         ignore (add_facts Facts.Sat_solver [ P.one ]);
         unsat := true;
-        0
+        (0, 0)
       end
       else begin
-        let result, surv, xtra, xunits, xbins = solve_round solver in
-        (* Pin the race winner as the session solver: clones extend the
+        let result, surv, extra, xunits, xbins = solve_round st.Session.solver in
+        (* The race winner becomes the state's solver: clones extend the
            template's grow-only logs, so the high-water marks below stay
            valid across the swap. *)
-        if surv != solver then inc_sat := Some (inc, surv);
-        surviving := surv;
-        extra := xtra;
-        let units = Sat.Solver.root_units_from surv !units_hwm @ xunits in
-        units_hwm := Sat.Solver.n_root_units surv;
+        st.Session.solver <- surv;
+        let units = Sat.Solver.root_units_from surv st.Session.units_hwm @ xunits in
+        st.Session.units_hwm <- Sat.Solver.n_root_units surv;
         let candidates =
-          Sat.Solver.learnt_binaries_from surv !bins_hwm @ xbins
+          Sat.Solver.learnt_binaries_from surv st.Session.bins_hwm @ xbins
         in
-        bins_hwm := Sat.Solver.n_learnt_binaries surv;
-        harvest ~anf_nvars:conv.Anf_to_cnf.anf_nvars
-          ~mono_of_var:conv.Anf_to_cnf.mono_of_var ~solver:surv ~result ~units
-          ~binaries:(Sat.Solver.learnt_binaries surv @ xbins) ~candidates
+        st.Session.bins_hwm <- Sat.Solver.n_learnt_binaries surv;
+        ( harvest ~anf_nvars:conv.Anf_to_cnf.anf_nvars
+            ~mono_of_var:conv.Anf_to_cnf.mono_of_var ~solver:surv ~result ~units
+            ~binaries:(Sat.Solver.learnt_binaries surv @ xbins) ~candidates,
+          extra )
       end
     in
-    let st = Sat.Solver.stats !surviving in
-    push_round ~encoded:delta.Anf_to_cnf.n_encoded ~reused:delta.Anf_to_cnf.n_reused
-      ~delta_clauses:(List.length delta.Anf_to_cnf.delta_clauses)
-      ~props:(st.Sat.Types.propagations - props0)
-      ~conflicts:(st.Sat.Types.conflicts - conflicts0 + !extra);
-    record_trail ~formula:conv.Anf_to_cnf.formula !surviving;
-    Harness.Budget.charge_conflicts budget ~layer:"sat"
-      (st.Sat.Types.conflicts - conflicts0 + !extra);
+    let stats = Sat.Solver.stats st.Session.solver in
+    let conflicts = stats.Sat.Types.conflicts - conflicts0 + extra in
+    sat_rounds :=
+      {
+        round_encoded = delta.Anf_to_cnf.n_encoded;
+        round_reused = delta.Anf_to_cnf.n_reused;
+        round_delta_clauses = List.length delta.Anf_to_cnf.delta_clauses;
+        round_propagations = stats.Sat.Types.propagations - props0;
+        round_conflicts = conflicts;
+      }
+      :: !sat_rounds;
+    (match trail with
+    | Some tr ->
+        Audit_trail.record_sat_stage tr ~formula:conv.Anf_to_cnf.formula
+          ~proof:(Sat.Solver.proof st.Session.solver)
+    | None -> ());
+    Harness.Budget.charge_conflicts budget ~layer:"sat" conflicts;
     added
-  in
-  let sat_stage () =
-    if config.Config.incremental_sat then sat_stage_incremental ()
-    else sat_stage_fresh ()
   in
   (* The monomial gauge tracks the master's total term count; XL adds its
      expansion columns on top while it runs. *)
@@ -633,44 +603,12 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
      done
    with Exit | Harness.Budget.Tripped _ -> ());
   if (not !unsat) && Harness.Budget.tripped budget = None then compress_linear ();
-  (* Re-pin (or reset) the session with whatever this run leaves behind.
-     Degraded runs pin too: the solver is still consistent after a
-     cooperative trip, and everything it holds is sound for this input. *)
-  (match session with
-  | None -> ()
-  | Some s -> (
-      s.Session.n_runs <- s.Session.n_runs + 1;
-      let sum f = List.fold_left (fun a r -> a + f r) 0 !sat_rounds in
-      match (!inc_sat, config.Config.incremental_sat) with
-      | Some (inc, solver), true ->
-          let prev_fed = if session_reused then Session.carried_clauses s else 0 in
-          let prev_polys =
-            if session_reused then Session.carried_polys s else 0
-          in
-          if (not session_reused) && Option.is_some s.Session.st then
-            s.Session.n_resets <- s.Session.n_resets + 1;
-          s.Session.st <-
-            Some
-              {
-                Session.inc;
-                solver;
-                units_hwm = !units_hwm;
-                bins_hwm = !bins_hwm;
-                xors_hwm = !xors_hwm;
-                anf_nvars = orig_nvars;
-                fed = prev_fed + sum (fun r -> r.round_delta_clauses);
-                polys = prev_polys + sum (fun r -> r.round_encoded);
-              };
-          s.Session.inputs <- PSet.of_list polys;
-          s.Session.cfg <- Some config
-      | _ ->
-          (* nothing reusable was built (fresh-SAT config, or the run
-             never reached a SAT stage): drop any stale pin *)
-          if Option.is_some s.Session.st then
-            s.Session.n_resets <- s.Session.n_resets + 1;
-          s.Session.st <- None;
-          s.Session.inputs <- PSet.empty;
-          s.Session.cfg <- None));
+  (* Pin the state this run leaves behind.  Degraded runs pin too: the
+     solver is still consistent after a cooperative trip, and everything
+     it holds is sound for this input.  A fresh-mode state is not pinned. *)
+  (match (session, !sat_state) with
+  | Some s, Some st when config.Config.incremental_sat -> Session.pin s ~config polys st
+  | _ -> ());
   let tripped = Harness.Budget.tripped budget in
   let status =
     if !unsat then Solved_unsat

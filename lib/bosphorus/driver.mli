@@ -73,6 +73,10 @@ type outcome = {
     only by {e knowing more} (the solver starts with the previous run's
     learnt clauses); statuses Sat/Unsat agree with the cold semantics.
 
+    A run takes the pinned state out of the session when it starts and
+    pins its own state when it ends, so a run that raises leaves nothing
+    pinned.  A fresh-mode run ([incremental_sat = false]) pins nothing.
+
     A session is single-owner: it must not be used by two concurrent
     runs (the service daemon checks sessions out under a lock). *)
 module Session : sig

@@ -110,17 +110,20 @@ let with_span ~name ?(args = []) f =
     in
     (* GC words consumed inside the span, attached to the End event: the
        allocation ledger per phase, read off the trace the same way wall
-       time is. *)
+       time is.  Minor words come from [Gc.minor_words], which counts the
+       calling domain's allocation exactly; [Gc.quick_stat]'s minor count
+       only advances at a minor collection. *)
     let g0 = Gc.quick_stat () in
+    let m0 = Gc.minor_words () in
     Fun.protect
       ~finally:(fun () ->
         match recorded with
         | Some id ->
+            let m1 = Gc.minor_words () in
             let g1 = Gc.quick_stat () in
             let args =
               [
-                ( "gc_minor_words",
-                  Printf.sprintf "%.0f" (g1.Gc.minor_words -. g0.Gc.minor_words) );
+                ("gc_minor_words", Printf.sprintf "%.0f" (m1 -. m0));
                 ( "gc_major_words",
                   Printf.sprintf "%.0f" (g1.Gc.major_words -. g0.Gc.major_words) );
               ]

@@ -743,6 +743,78 @@ let test_incremental_reuses_encodings () =
        (fun r -> r.B.Driver.round_reused = 0)
        fresh.B.Driver.sat_rounds)
 
+(* ------------------------------------------------------------------ *)
+(* Pinned sessions: a run reuses the pinned state exactly when its input
+   is a superset of the pinning run's, under the same config and within
+   the pinned variable range; any other run resets the session.         *)
+(* ------------------------------------------------------------------ *)
+
+(* hard enough that the SAT stage feeds clauses into the pinned solver *)
+let session_system () =
+  List.map poly
+    [
+      "x2*x11 + x5*x7 + x6*x11 + x7*x11 + 1";
+      "x3*x12 + x5*x7 + 1";
+      "x1*x2 + x1*x9 + x6*x10 + x7*x8";
+      "x1*x6 + x1*x8 + x7*x8 + x8*x9 + 1";
+      "x1*x9 + x6*x8 + x9*x12 + x11 + 1";
+      "x2*x12 + x4*x7 + x5*x10 + 1";
+      "x1*x11 + x2*x6 + x5*x8 + x11*x12";
+      "x2*x4 + x2*x10 + x9*x11 + 1";
+      "x2*x3 + x4*x6 + x10*x11 + 1";
+      "x1*x5 + x1*x6 + x3*x10 + x4*x12 + 1";
+    ]
+
+let session_config = B.Config.default
+
+let pinned_session () =
+  let s = B.Driver.Session.create () in
+  ignore (B.Driver.run ~config:session_config ~session:s (session_system ()));
+  s
+
+let test_session_superset_reuses () =
+  let module Se = B.Driver.Session in
+  let s = pinned_session () in
+  let carried = Se.carried_clauses s in
+  check "first run pins the clauses it fed" true (carried > 0);
+  check "and the polynomials it encoded" true (Se.carried_polys s > 0);
+  let superset = session_system () @ [ poly "x1*x2 + x3 + 1" ] in
+  check "superset is compatible" true (Se.compatible s ~config:session_config superset);
+  ignore (B.Driver.run ~config:session_config ~session:s superset);
+  check "reused clauses stay carried" true (Se.carried_clauses s >= carried);
+  check_int "runs" 2 (Se.runs s);
+  check_int "no reset" 0 (Se.resets s)
+
+let test_session_incompatible_resets () =
+  let module Se = B.Driver.Session in
+  let polys = session_system () in
+  List.iter
+    (fun (what, config, input) ->
+      let s = pinned_session () in
+      check (what ^ ": incompatible") false (Se.compatible s ~config input);
+      ignore (B.Driver.run ~config ~session:s input);
+      check_int (what ^ ": runs") 2 (Se.runs s);
+      check_int (what ^ ": one reset") 1 (Se.resets s);
+      check (what ^ ": re-pinned to the new input") true (Se.compatible s ~config input))
+    [
+      ("not a superset", session_config, List.tl polys);
+      ("changed config", { session_config with B.Config.seed = 2 }, polys);
+      ("variable beyond the range", session_config, polys @ [ poly "x13 + x1" ]);
+    ]
+
+let test_session_fresh_pins_nothing () =
+  let module Se = B.Driver.Session in
+  let polys = session_system () in
+  let fresh = { session_config with B.Config.incremental_sat = false } in
+  let s = pinned_session () in
+  ignore (B.Driver.run ~config:fresh ~session:s polys);
+  check_int "a fresh run resets the pinned session" 1 (Se.resets s);
+  check_int "and carries nothing" 0 (Se.carried_clauses s);
+  check "nothing is left to reuse" false (Se.compatible s ~config:session_config polys);
+  ignore (B.Driver.run ~config:fresh ~session:s polys);
+  check_int "an empty session is not reset" 1 (Se.resets s);
+  check_int "runs" 3 (Se.runs s)
+
 let prop_incremental_matches_fresh =
   QCheck.Test.make ~name:"incremental driver matches fresh-solver driver" ~count:60
     arb_system
@@ -901,6 +973,12 @@ let main_suite =
           test_incremental_matches_fresh_fixed;
         Alcotest.test_case "incremental reuses encodings" `Quick
           test_incremental_reuses_encodings;
+        Alcotest.test_case "session: superset input reuses" `Quick
+          test_session_superset_reuses;
+        Alcotest.test_case "session: incompatible input resets" `Quick
+          test_session_incompatible_resets;
+        Alcotest.test_case "session: fresh run pins nothing" `Quick
+          test_session_fresh_pins_nothing;
       ] );
     ("bosphorus.properties", qcheck_cases);
   ]

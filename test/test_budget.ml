@@ -159,8 +159,8 @@ let test_timing_monotonic () =
   check "process cpu monotonic" true (c2 >= c1)
 
 let test_perf_counters () =
-  (* allocate well past one minor heap so collections flush the per-domain
-     counters Gc.quick_stat reads (unflushed allocation is invisible) *)
+  (* allocate well past one minor heap, so promotion and collections
+     happen inside the measured section *)
   let _, c =
     Harness.Perf.measure (fun () ->
         let r = ref [] in

@@ -231,6 +231,51 @@ let test_trace_capacity_drops_but_stays_matched () =
   check_int "still matched at the cap" (count "B") (count "E");
   check "drop count exported" true (as_num (member "droppedSpans" doc) > 0.0)
 
+(* A span reports the minor words allocated inside it exactly, on any
+   domain.  [cons_words n] allocates 3n words (one header and two fields
+   per cell); the span's own bookkeeping is a constant, measured by an
+   empty span and subtracted.  300,048 words spans more than one minor
+   collection, so a counter that only advances at a collection would be
+   off by up to a minor heap. *)
+let rec cons_list acc i = if i = 0 then acc else cons_list (i :: acc) (i - 1)
+let cons_words n = ignore (Sys.opaque_identity (cons_list [] n))
+let known_words = 300_048
+
+let test_trace_span_minor_words_exact () =
+  with_clean_obs @@ fun () ->
+  Trace.set_enabled true;
+  let spans () =
+    Trace.with_span ~name:"empty" (fun () -> ());
+    Trace.with_span ~name:"alloc" (fun () -> cons_words (known_words / 3))
+  in
+  spans ();
+  let main_tid = (List.hd (Trace.events ())).Trace.tid in
+  Domain.join (Domain.spawn spans);
+  let reported ~on_main name =
+    match
+      List.find_opt
+        (fun (e : Trace.event) ->
+          e.ph = Trace.End && e.name = name && (e.tid = main_tid) = on_main)
+        (Trace.events ())
+    with
+    | Some e -> int_of_string (List.assoc "gc_minor_words" e.args)
+    | None -> Alcotest.failf "no %s span end" name
+  in
+  List.iter
+    (fun (on_main, where) ->
+      check_int
+        (where ^ ": span reports the words allocated inside it")
+        known_words
+        (reported ~on_main "alloc" - reported ~on_main "empty"))
+    [ (true, "main domain"); (false, "spawned domain") ]
+
+let test_perf_measure_minor_words_exact () =
+  let words f = (snd (Harness.Perf.measure f)).Harness.Perf.minor_words in
+  let overhead = words (fun () -> ()) in
+  Alcotest.(check (float 0.0))
+    "measure reports the words allocated inside it" (float_of_int known_words)
+    (words (fun () -> cons_words (known_words / 3)) -. overhead)
+
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -434,6 +479,10 @@ let suite =
           test_trace_open_span_export_is_matched;
         Alcotest.test_case "capacity drops stay matched" `Quick
           test_trace_capacity_drops_but_stays_matched;
+        Alcotest.test_case "span minor words exact on every domain" `Quick
+          test_trace_span_minor_words_exact;
+        Alcotest.test_case "Perf.measure minor words exact" `Quick
+          test_perf_measure_minor_words_exact;
       ] );
     ( "obs.metrics",
       [

@@ -366,21 +366,28 @@ let test_driver_gauss_audit_rejected () =
   with Invalid_argument _ -> ()
 
 let test_driver_gauss_cnf_paths () =
-  (* run_cnf with gauss forced on and forced off must reach the same
-     certified verdicts on XOR-heavy instances *)
+  (* run_cnf with gauss forced on and forced off, and with gauss on in
+     fresh mode (every round feeds the rows of a new conversion), must
+     reach the same certified verdicts on XOR-heavy instances *)
   List.iter
     (fun satisfiable ->
       let f, _ = parity_instance ~vertices:10 ~satisfiable ~seed:21 in
       let statuses =
         List.map
-          (fun gauss ->
-            let config = { Bosphorus.Config.default with Bosphorus.Config.gauss } in
+          (fun (gauss, incremental_sat) ->
+            let config =
+              { Bosphorus.Config.default with Bosphorus.Config.gauss; incremental_sat }
+            in
             let o = Bosphorus.Driver.run_cnf ~config f in
             match o.Bosphorus.Driver.status with
             | Bosphorus.Driver.Solved_sat _ -> `Sat
             | Bosphorus.Driver.Solved_unsat -> `Unsat
             | Bosphorus.Driver.Processed | Bosphorus.Driver.Degraded -> `Open)
-          [ Bosphorus.Config.Gauss_on; Bosphorus.Config.Gauss_off ]
+          [
+            (Bosphorus.Config.Gauss_on, true);
+            (Bosphorus.Config.Gauss_off, true);
+            (Bosphorus.Config.Gauss_on, false);
+          ]
       in
       let want = if satisfiable then `Sat else `Unsat in
       List.iter (fun st -> check "verdict" true (st = want)) statuses)
