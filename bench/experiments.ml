@@ -12,11 +12,20 @@ let header title = Format.printf "@.=== %s ===@.@." title
 (* E1: Table I — XL worked example                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* The full XL expansion of a small system: every polynomial, then its
+   products by the multipliers, first occurrences kept. *)
+let expand ~multipliers polys =
+  List.rev
+    (List.fold_left
+       (fun acc p -> if P.is_zero p || List.exists (P.equal p) acc then acc else p :: acc)
+       []
+       (List.concat_map (fun p -> p :: List.map (P.mul_monomial p) multipliers) polys))
+
 let table1 () =
   header "Table I: eXtended Linearization on {x1x2+x1+1, x2x3+x3}, D = 1";
   let system = [ poly "x1*x2 + x1 + 1"; poly "x2*x3 + x3" ] in
   let mults = Bosphorus.Xl.multipliers ~vars:[ 1; 2; 3 ] ~degree:1 in
-  let expanded = Bosphorus.Xl.expand ~multipliers:mults system in
+  let expanded = expand ~multipliers:mults system in
   Format.printf "(a) expanded system (%d distinct rows):@." (List.length expanded);
   List.iter (fun p -> Format.printf "    %a@." P.pp p) expanded;
   let { Bosphorus.Linearize.rank; rows; _ } = Bosphorus.Linearize.reduce expanded in

@@ -200,3 +200,166 @@ let to_string m =
   Buffer.contents b
 
 let pp ppf m = Format.pp_print_string ppf (to_string m)
+
+(* ---------- graded order of monomial ids ---------- *)
+
+(* Kernels of {!Ids.sort_graded}: a monomial table [monos] (id ->
+   monomial) and int arrays only, nothing allocated. *)
+
+let digit_bits = 7
+let radix = 1 lsl digit_bits
+
+let rec max_degree monos (ids : int array) i n acc =
+  if i >= n then acc
+  else
+    max_degree monos ids (i + 1) n
+      (Int.max acc (Array.length (Array.unsafe_get monos (Array.unsafe_get ids i))))
+
+let rec max_variable monos (ids : int array) i n acc =
+  if i >= n then acc
+  else
+    let m = Array.unsafe_get monos (Array.unsafe_get ids i) in
+    let d = Array.length m in
+    max_variable monos ids (i + 1) n (if d = 0 then acc else Int.max acc m.(d - 1))
+
+let rec digits_for v acc = if v < radix then acc else digits_for (v lsr digit_bits) (acc + 1)
+
+(* One stable counting-sort pass over src.(lo .. hi-1) into the same
+   range of dst, keyed by digit [shift] of the variable at position
+   [pos] (all monomials of the range have the same degree). *)
+let digit_pass monos (src : int array) (dst : int array) (count : int array) lo hi pos shift =
+  Array.fill count 0 (radix + 1) 0;
+  for i = lo to hi - 1 do
+    let x = Array.unsafe_get (Array.unsafe_get monos (Array.unsafe_get src i)) pos in
+    let d = ((x lsr shift) land (radix - 1)) + 1 in
+    Array.unsafe_set count d (Array.unsafe_get count d + 1)
+  done;
+  Array.unsafe_set count 0 lo;
+  for d = 1 to radix do
+    Array.unsafe_set count d (Array.unsafe_get count d + Array.unsafe_get count (d - 1))
+  done;
+  for i = lo to hi - 1 do
+    let id = Array.unsafe_get src i in
+    let x = Array.unsafe_get (Array.unsafe_get monos id) pos in
+    let d = (x lsr shift) land (radix - 1) in
+    let at = Array.unsafe_get count d in
+    Array.unsafe_set dst at id;
+    Array.unsafe_set count d (at + 1)
+  done;
+  Array.blit dst lo src lo (hi - lo)
+
+(* Lexicographic order of the run src.(lo .. hi-1) of degree [deg]:
+   least significant position and digit first. *)
+let rec sort_run monos src dst count lo hi deg ndigits pos =
+  if pos >= 0 then begin
+    for digit = 0 to ndigits - 1 do
+      digit_pass monos src dst count lo hi pos (digit * digit_bits)
+    done;
+    sort_run monos src dst count lo hi deg ndigits (pos - 1)
+  end
+
+let rec run_end monos (a : int array) deg i n =
+  if i < n && Array.length (Array.unsafe_get monos (Array.unsafe_get a i)) = deg then
+    run_end monos a deg (i + 1) n
+  else i
+
+let rec sort_runs monos src dst count lo n ndigits =
+  if lo < n then begin
+    let deg = Array.length (Array.unsafe_get monos (Array.unsafe_get src lo)) in
+    let hi = run_end monos src deg (lo + 1) n in
+    if hi - lo > 1 then sort_run monos src dst count lo hi deg ndigits (deg - 1);
+    sort_runs monos src dst count hi n ndigits
+  end
+
+(* Sorts ids.(0 .. n-1) (distinct ids) into graded order: a stable
+   counting sort by descending degree into [tmp], then an LSD radix sort
+   of each degree's run by its variables, [digit_bits] bits at a time.
+   Needs [tmp] of length at least [n] and [count] of at least
+   [max (radix + 1) (max degree + 2)]; allocates nothing. *)
+let sort_ids_into monos (ids : int array) n (tmp : int array) (count : int array) =
+  let top = max_degree monos ids 0 n 0 in
+  let ndigits = digits_for (max_variable monos ids 0 n 0) 1 in
+  Array.fill count 0 (top + 2) 0;
+  for i = 0 to n - 1 do
+    let k = top - Array.length (Array.unsafe_get monos (Array.unsafe_get ids i)) + 1 in
+    Array.unsafe_set count k (Array.unsafe_get count k + 1)
+  done;
+  for k = 1 to top + 1 do
+    Array.unsafe_set count k (Array.unsafe_get count k + Array.unsafe_get count (k - 1))
+  done;
+  for i = 0 to n - 1 do
+    let id = Array.unsafe_get ids i in
+    let k = top - Array.length (Array.unsafe_get monos id) in
+    let at = Array.unsafe_get count k in
+    Array.unsafe_set tmp at id;
+    Array.unsafe_set count k (at + 1)
+  done;
+  sort_runs monos tmp ids count 0 n ndigits;
+  Array.blit tmp 0 ids 0 n
+
+(* ---------- dense ids ---------- *)
+
+(* The union of the ascending variable arrays [a] and [b] (x*x = x),
+   written into [buf] from [k] on; returns the length.  [buf] must hold
+   [la + lb] ints. *)
+let rec merge_into (a : t) la (b : t) lb (buf : int array) i j k =
+  if i < la && j < lb then begin
+    let x = Array.unsafe_get a i and y = Array.unsafe_get b j in
+    if x < y then begin
+      Array.unsafe_set buf k x;
+      merge_into a la b lb buf (i + 1) j (k + 1)
+    end
+    else if x > y then begin
+      Array.unsafe_set buf k y;
+      merge_into a la b lb buf i (j + 1) (k + 1)
+    end
+    else begin
+      Array.unsafe_set buf k x;
+      merge_into a la b lb buf (i + 1) (j + 1) (k + 1)
+    end
+  end
+  else if i < la then begin
+    Array.unsafe_set buf k (Array.unsafe_get a i);
+    merge_into a la b lb buf (i + 1) j (k + 1)
+  end
+  else if j < lb then begin
+    Array.unsafe_set buf k (Array.unsafe_get b j);
+    merge_into a la b lb buf i (j + 1) (k + 1)
+  end
+  else k
+
+module Ids = struct
+  type mono = t
+
+  (* a monomial is its variable array, so the table is an [Intern] *)
+  type t = { tbl : Intern.t; mutable buf : int array (* product scratch *) }
+
+  let create ?(size_hint = 16) () = { tbl = Intern.create ~size_hint (); buf = Array.make 16 0 }
+  let count t = Intern.count t.tbl
+  let monomial t id : mono = Intern.get t.tbl id
+
+  let intern t (m : mono) =
+    let s = Intern.slot t.tbl m (Array.length m) in
+    let id = Intern.id_at t.tbl s in
+    if id >= 0 then id else Intern.insert t.tbl s m
+
+  let intern_mul t (a : mono) (b : mono) =
+    let la = Array.length a and lb = Array.length b in
+    if Array.length t.buf < la + lb then t.buf <- Array.make (2 * (la + lb)) 0;
+    let buf = t.buf in
+    let n = merge_into a la b lb buf 0 0 0 in
+    let s = Intern.slot t.tbl buf n in
+    let id = Intern.id_at t.tbl s in
+    if id >= 0 then id
+    else
+      (* a product as long as a factor equals it: share that factor *)
+      Intern.insert t.tbl s (if n = la then a else if n = lb then b else Array.sub buf 0 n)
+
+  let sort_graded t ids n =
+    if n > Array.length ids then invalid_arg "Monomial.Ids.sort_graded";
+    (* the table's arrays are the monomials, read by id *)
+    let monos = Intern.store t.tbl in
+    let top = max_degree monos ids 0 n 0 in
+    let tmp = Array.make n 0 and count = Array.make (Int.max (radix + 1) (top + 2)) 0 in
+    sort_ids_into monos ids n tmp count
+end

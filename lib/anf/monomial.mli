@@ -97,3 +97,36 @@ val add_to_buffer : Buffer.t -> t -> unit
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+
+(** {2 Dense ids}
+
+    One linearisation's monomials, each numbered once: the first monomial
+    interned gets id 0, the next new one id 1, and so on.  A table is
+    meant for one call on one domain; it is not thread-safe. *)
+module Ids : sig
+  type mono := t
+  type t
+
+  (** [create ?size_hint ()] is an empty table sized for about
+      [size_hint] monomials (it grows past that). *)
+  val create : ?size_hint:int -> unit -> t
+
+  (** Number of ids handed out. *)
+  val count : t -> int
+
+  (** [monomial t id] is the monomial numbered [id]. *)
+  val monomial : t -> int -> mono
+
+  (** [intern t m] is [m]'s id, numbering it if it is new. *)
+  val intern : t -> mono -> int
+
+  (** [intern_mul t a b] is [intern t (mul a b)], but the product is
+      built only if it is new to [t]. *)
+  val intern_mul : t -> mono -> mono -> int
+
+  (** [sort_graded t ids n] sorts the distinct ids [ids.(0 .. n-1)] into
+      the graded order of their monomials ({!compare}): bucketed by
+      descending degree, then radix-sorted by variables, with no
+      comparison of monomials. *)
+  val sort_graded : t -> int array -> int -> unit
+end

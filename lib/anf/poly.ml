@@ -7,9 +7,17 @@ let one : t = [| Monomial.one |]
 let var x = [| Monomial.var x |]
 let constant b = if b then one else zero
 
+(* [Array.of_list] of fresh monomials, filled from the static [one]
+   instead: past 256 slots, [Array.of_list] would force a minor
+   collection to promote its first element. *)
+let array_of_list ms =
+  let a = Array.make (List.length ms) Monomial.one in
+  List.iteri (fun i m -> Array.unsafe_set a i m) ms;
+  a
+
 (* Normalise a multiset of monomials: sort, then drop pairs (GF(2)). *)
 let of_monomials ms =
-  let a = Array.of_list ms in
+  let a = array_of_list ms in
   Array.stable_sort Monomial.compare a;
   let n = Array.length a in
   let k = ref 0 and i = ref 0 in
@@ -25,6 +33,7 @@ let of_monomials ms =
 
 let monomials p = Array.to_list p
 let n_terms p = Array.length p
+let term (p : t) i = p.(i)
 
 let leading p =
   if Array.length p = 0 then invalid_arg "Poly.leading: zero polynomial";
@@ -92,7 +101,7 @@ let subst p ~target ~by =
       end
       else untouched := m :: !untouched
     done;
-    add (Array.of_list !untouched) (of_monomials !products)
+    add (array_of_list !untouched) (of_monomials !products)
   end
 
 let rewrite lit p =

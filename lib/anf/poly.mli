@@ -26,6 +26,10 @@ val monomials : t -> Monomial.t list
 (** Number of monomials (terms). *)
 val n_terms : t -> int
 
+(** [term p i] is the [i]-th monomial in canonical order,
+    [0 <= i < n_terms p]; allocates nothing. *)
+val term : t -> int -> Monomial.t
+
 (** [leading p] is the canonically largest monomial.
     Raises [Invalid_argument] on the zero polynomial. *)
 val leading : t -> Monomial.t

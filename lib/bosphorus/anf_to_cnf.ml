@@ -352,6 +352,11 @@ let encode_round inc polys =
     n_reused = !n_reused;
   }
 
-(* Cumulative view of everything encoded so far, in the same shape as
-   one-shot {!convert} — this is what the audit trail records per round. *)
-let snapshot inc = conversion inc.inc_state
+let anf_nvars inc = inc.inc_state.anf_nvars
+let cnf_nvars inc = inc.inc_state.next_var
+let mono_of_var inc = inc.inc_state.mono_of_var
+let xors inc = List.rev inc.inc_state.xors
+
+(* The whole cumulative formula, rebuilt on each call: only the audit
+   trail reads it. *)
+let formula inc = (conversion inc.inc_state).formula

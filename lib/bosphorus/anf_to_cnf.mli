@@ -73,6 +73,22 @@ val create_incremental : config:Config.t -> anf_nvars:int -> incremental
     polynomial mentions a variable at or beyond [anf_nvars]. *)
 val encode_round : incremental -> Anf.Poly.t list -> delta
 
-(** Cumulative view of everything encoded so far, in the same shape as
-    one-shot {!convert}; what the audit trail records per round. *)
-val snapshot : incremental -> conversion
+(** The ANF variable range fixed at creation. *)
+val anf_nvars : incremental -> int
+
+(** CNF variables used so far: the ANF range plus every auxiliary
+    variable allocated.  Every clause encoded so far lies within it. *)
+val cnf_nvars : incremental -> int
+
+(** Auxiliary CNF variable -> the monomial it stands for (live: later
+    rounds add to it). *)
+val mono_of_var : incremental -> (int, Anf.Monomial.t) Hashtbl.t
+
+(** Every XOR row recorded so far, in emission order, as in
+    {!conversion}[.xors]. *)
+val xors : incremental -> (int list * bool) list
+
+(** [formula inc] builds the cumulative formula of everything encoded so
+    far, as one-shot {!convert} would — the whole clause list is copied on
+    every call, so it is for the audit trail, not for every round. *)
+val formula : incremental -> Cnf.Formula.t

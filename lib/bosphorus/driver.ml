@@ -436,11 +436,9 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
     incr sat_calls;
     let snapshot = S.to_list master in
     if not config.Config.incremental_sat then sat_state := None;
-    let st, delta, conv =
+    let st, delta =
       match !sat_state with
-      | Some st ->
-          let delta = Anf_to_cnf.encode_round st.Session.inc snapshot in
-          (st, delta, Anf_to_cnf.snapshot st.Session.inc)
+      | Some st -> (st, Anf_to_cnf.encode_round st.Session.inc snapshot)
       | None ->
           (* an incremental state is fixed to the input's variable range,
              which every later round and run stays within *)
@@ -449,10 +447,8 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
           in
           let inc = Anf_to_cnf.create_incremental ~config ~anf_nvars in
           let delta = Anf_to_cnf.encode_round inc snapshot in
-          let conv = Anf_to_cnf.snapshot inc in
           let nvars =
-            if config.Config.incremental_sat then anf_nvars
-            else Cnf.Formula.nvars conv.Anf_to_cnf.formula
+            if config.Config.incremental_sat then anf_nvars else Anf_to_cnf.cnf_nvars inc
           in
           let solver = Sat.Solver.create ~nvars () in
           if trail <> None then Sat.Solver.enable_proof solver;
@@ -461,14 +457,15 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
               anf_nvars; fed = 0; polys = 0 }
           in
           sat_state := Some st;
-          (st, delta, conv)
+          (st, delta)
     in
+    let inc = st.Session.inc in
     let stats0 = Sat.Solver.stats st.Session.solver in
     let props0 = stats0.Sat.Types.propagations
     and conflicts0 = stats0.Sat.Types.conflicts in
     let clauses_ok =
       List.for_all
-        (fun c -> Sat.Solver.add_clause st.Session.solver (Cnf.Clause.to_list c))
+        (Sat.Solver.add_cnf_clause st.Session.solver)
         delta.Anf_to_cnf.delta_clauses
     in
     st.Session.fed <- st.Session.fed + List.length delta.Anf_to_cnf.delta_clauses;
@@ -481,7 +478,7 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
     let clauses_ok =
       clauses_ok
       &&
-      let all_xors = conv.Anf_to_cnf.xors in
+      let all_xors = Anf_to_cnf.xors inc in
       let n_xors = List.length all_xors in
       (not (gauss_wanted n_xors))
       ||
@@ -507,8 +504,8 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
           Sat.Solver.learnt_binaries_from surv st.Session.bins_hwm @ xbins
         in
         st.Session.bins_hwm <- Sat.Solver.n_learnt_binaries surv;
-        ( harvest ~anf_nvars:conv.Anf_to_cnf.anf_nvars
-            ~mono_of_var:conv.Anf_to_cnf.mono_of_var ~solver:surv ~result ~units
+        ( harvest ~anf_nvars:(Anf_to_cnf.anf_nvars inc)
+            ~mono_of_var:(Anf_to_cnf.mono_of_var inc) ~solver:surv ~result ~units
             ~binaries:(Sat.Solver.learnt_binaries surv @ xbins) ~candidates,
           extra )
       end
@@ -526,7 +523,7 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
       :: !sat_rounds;
     (match trail with
     | Some tr ->
-        Audit_trail.record_sat_stage tr ~formula:conv.Anf_to_cnf.formula
+        Audit_trail.record_sat_stage tr ~formula:(Anf_to_cnf.formula inc)
           ~proof:(Sat.Solver.proof st.Session.solver)
     | None -> ());
     Harness.Budget.charge_conflicts budget ~layer:"sat" conflicts;

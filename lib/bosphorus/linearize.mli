@@ -6,9 +6,15 @@
 
 type t
 
-(** [build polys] computes the column basis and the coefficient matrix of
-    the system (one row per polynomial, in the given order).  Each
-    polynomial's bits are set straight into the matrix's own row. *)
+(** [build_ids ids rows n] computes the column basis and the coefficient
+    matrix of the first [n] rows of [rows], each the distinct monomial ids
+    (in any order) of one polynomial in [ids].  The columns are the ids
+    the rows use, in graded order; the matrix takes one allocation and
+    every bit is set by array index, with no monomial hashed again. *)
+val build_ids : Anf.Monomial.Ids.t -> int array array -> int -> t * Gf2.Matrix.t
+
+(** [build polys] interns each monomial of [polys] once and then is
+    {!build_ids}: one row per polynomial, in the given order. *)
 val build : Anf.Poly.t list -> t * Gf2.Matrix.t
 
 (** Number of monomial columns. *)
@@ -39,6 +45,17 @@ val reduce :
   ?poll:(unit -> unit) ->
   ?keep:(t -> Gf2.Bitvec.t -> bool) ->
   Anf.Poly.t list ->
+  reduced
+
+(** [reduce_ids ?jobs ?poll ?keep ids rows n] is {!reduce} on rows given
+    as in {!build_ids}. *)
+val reduce_ids :
+  ?jobs:int ->
+  ?poll:(unit -> unit) ->
+  ?keep:(t -> Gf2.Bitvec.t -> bool) ->
+  Anf.Monomial.Ids.t ->
+  int array array ->
+  int ->
   reduced
 
 (** [cells polys] is [rows * distinct-monomials], the "m'-by-n' linearised

@@ -24,38 +24,6 @@ let multipliers ~vars ~degree =
     (fun d -> List.map M.of_vars (combos d 0))
     (List.init degree (fun i -> i + 1))
 
-module Ptbl = Hashtbl.Make (struct
-  type t = P.t
-
-  let equal = P.equal
-  let hash = P.hash
-end)
-
-(* Every polynomial, then its products, deduplicated in first-occurrence
-   order.  A tripped budget stops the expansion at its next poll; the
-   products found so far are kept — each is a sound consequence on its
-   own, so a partial expansion only loses facts. *)
-let expand ?budget ~multipliers polys =
-  let seen = Ptbl.create 64 in
-  let out = ref [] in
-  let push p =
-    (match budget with
-    | Some b -> Harness.Budget.poll b ~layer:"xl"
-    | None -> ());
-    if (not (P.is_zero p)) && not (Ptbl.mem seen p) then begin
-      Ptbl.replace seen p ();
-      out := p :: !out
-    end
-  in
-  (try
-     List.iter
-       (fun p ->
-         push p;
-         List.iter (fun m -> push (P.mul_monomial p m)) multipliers)
-       polys
-   with Harness.Budget.Tripped _ -> ());
-  List.rev !out
-
 let retain_facts polys =
   List.filter
     (fun p ->
@@ -91,39 +59,101 @@ let shuffle rng arr =
     arr.(j) <- t
   done
 
-module Mtbl = Hashtbl.Make (struct
-  type t = M.t
-
-  let equal = M.equal
-  let hash = M.hash
-end)
-
 (* Greedily take shuffled polynomials while the linearised size (rows x
-   distinct monomials) stays below the budget; always take at least one. *)
+   distinct monomials) stays below the budget; always take at least one.
+   A monomial is seen once a taken polynomial has it: [seen] flags ids. *)
 let subsample ~rng ~cell_budget polys =
-  let arr = Array.of_list polys in
+  (* filled from the static zero polynomial, not [Array.of_list]: see
+     DESIGN.md on arrays of fresh blocks *)
+  let arr = Array.make (List.length polys) P.zero in
+  List.iteri (fun i p -> arr.(i) <- p) polys;
   shuffle rng arr;
-  let mono_seen = Mtbl.create 64 in
+  let ids = M.Ids.create ~size_hint:(Array.length arr) () in
+  let seen = ref (Bytes.make 64 '\000') in
+  let is_seen id = id < Bytes.length !seen && Bytes.get !seen id <> '\000' in
   let cols = ref 0 in
   let taken = ref [] in
   let rows = ref 0 in
   Array.iter
     (fun p ->
-      let new_monos =
-        List.filter (fun m -> not (Mtbl.mem mono_seen m)) (P.monomials p)
-      in
-      let cells' = (!rows + 1) * (!cols + List.length new_monos) in
+      let n = P.n_terms p in
+      let term_ids = Array.init n (fun j -> M.Ids.intern ids (P.term p j)) in
+      let n_new = Array.fold_left (fun acc id -> if is_seen id then acc else acc + 1) 0 term_ids in
+      let cells' = (!rows + 1) * (!cols + n_new) in
       if !rows = 0 || cells' <= cell_budget then begin
         taken := p :: !taken;
         incr rows;
-        List.iter
-          (fun m ->
-            Mtbl.replace mono_seen m ();
-            incr cols)
-          new_monos
+        cols := !cols + n_new;
+        if M.Ids.count ids > Bytes.length !seen then begin
+          let wider = Bytes.make (2 * M.Ids.count ids) '\000' in
+          Bytes.blit !seen 0 wider 0 (Bytes.length !seen);
+          seen := wider
+        end;
+        Array.iter (fun id -> Bytes.set !seen id '\001') term_ids
       end)
     arr;
   List.rev !taken
+
+(* The expansion's rows as ascending arrays of monomial ids, each kept
+   once, numbered in first-occurrence order by an [Anf.Intern] table.
+   [used] flags the ids some kept row contains and [cols] counts them:
+   the linearised width the rows x columns stop test and the budget's
+   gauge read. *)
+module Rows = struct
+  type t = { tbl : Anf.Intern.t; mutable used : Bytes.t; mutable cols : int }
+
+  let create () = { tbl = Anf.Intern.create ~size_hint:64 (); used = Bytes.make 64 '\000'; cols = 0 }
+  let count t = Anf.Intern.count t.tbl
+
+  let mark_used t id =
+    if id >= Bytes.length t.used then begin
+      let wider = Bytes.make (Int.max (id + 1) (2 * Bytes.length t.used)) '\000' in
+      Bytes.blit t.used 0 wider 0 (Bytes.length t.used);
+      t.used <- wider
+    end;
+    if Bytes.get t.used id = '\000' then begin
+      Bytes.set t.used id '\001';
+      t.cols <- t.cols + 1
+    end
+
+  (* Adds the row a.(0 .. n-1) (ascending, nonempty) unless it is kept
+     already. *)
+  let add t (a : int array) n =
+    let s = Anf.Intern.slot t.tbl a n in
+    if Anf.Intern.id_at t.tbl s < 0 then begin
+      let row = Array.sub a 0 n in
+      ignore (Anf.Intern.insert t.tbl s row);
+      for j = 0 to n - 1 do
+        mark_used t row.(j)
+      done
+    end
+end
+
+(* Sorts buf.(0 .. n-1) ascending and cancels equal pairs (GF(2)),
+   returning the length left.  A row is one polynomial's few terms, so an
+   insertion sort; nothing is allocated. *)
+let rec insert_down (buf : int array) x j =
+  if j >= 0 && Array.unsafe_get buf j > x then begin
+    Array.unsafe_set buf (j + 1) (Array.unsafe_get buf j);
+    insert_down buf x (j - 1)
+  end
+  else Array.unsafe_set buf (j + 1) x
+
+let rec cancel_pairs (buf : int array) n i k =
+  if i >= n then k
+  else if i + 1 < n && Array.unsafe_get buf i = Array.unsafe_get buf (i + 1) then
+    cancel_pairs buf n (i + 2) k
+  else begin
+    Array.unsafe_set buf k (Array.unsafe_get buf i);
+    cancel_pairs buf n (i + 1) (k + 1)
+  end
+
+let sort_cancel (buf : int array) n =
+  if n > Array.length buf then invalid_arg "Xl.sort_cancel";
+  for i = 1 to n - 1 do
+    insert_down buf (Array.unsafe_get buf i) (i - 1)
+  done;
+  cancel_pairs buf n 0 0
 
 let run_impl ~config ~rng ?budget polys =
   let open Config in
@@ -137,32 +167,25 @@ let run_impl ~config ~rng ?budget polys =
   (* incremental expansion in ascending degree order, bounded by the
      expansion budget *)
   let by_degree = List.sort (fun a b -> Int.compare (P.degree a) (P.degree b)) sample in
-  let seen = Ptbl.create 64 in
-  let mono_seen = Mtbl.create 64 in
-  let cols = ref 0 in
-  let rows = ref [] in
-  let nrows = ref 0 in
+  (* every monomial of the expansion is interned once; a row is the
+     ascending ids of its monomials *)
+  let terms = List.fold_left (fun acc p -> acc + P.n_terms p) 0 sample in
+  let ids = M.Ids.create ~size_hint:(2 * terms) () in
+  let rows = Rows.create () in
+  let buf = ref (Array.make 16 0) in
+  let reserve n = if Array.length !buf < n then buf := Array.make (2 * n) 0 in
   (* the global budget's monomial gauge: whatever the caller already
      accounts for, plus this expansion's distinct columns *)
   let gauge_base = match budget with Some b -> Harness.Budget.cells b | None -> 0 in
-  let push p =
+  (* a polynomial's ids are in !buf.(0 .. n-1) *)
+  let push n =
     (match budget with
     | Some b ->
-        Harness.Budget.set_cells b (gauge_base + !cols);
+        Harness.Budget.set_cells b (gauge_base + rows.Rows.cols);
         Harness.Budget.poll b ~layer:"xl"
     | None -> ());
-    if (not (P.is_zero p)) && not (Ptbl.mem seen p) then begin
-      Ptbl.replace seen p ();
-      rows := p :: !rows;
-      incr nrows;
-      List.iter
-        (fun m ->
-          if not (Mtbl.mem mono_seen m) then begin
-            Mtbl.replace mono_seen m ();
-            incr cols
-          end)
-        (P.monomials p)
-    end
+    let n = sort_cancel !buf n in
+    if n > 0 then Rows.add rows !buf n
   in
   let trip =
     Obs.Trace.with_span ~name:"xl.expand_chunk" @@ fun () ->
@@ -172,20 +195,33 @@ let run_impl ~config ~rng ?budget polys =
       (match budget with
       | Some b -> Harness.Budget.check b ~layer:"xl"
       | None -> ());
-      List.iter push by_degree;
       List.iter
         (fun p ->
+          let n = P.n_terms p in
+          reserve n;
+          for j = 0 to n - 1 do
+            !buf.(j) <- M.Ids.intern ids (P.term p j)
+          done;
+          push n)
+        by_degree;
+      List.iter
+        (fun p ->
+          let n = P.n_terms p in
+          reserve n;
           List.iter
             (fun m ->
-              if !nrows * !cols >= expand_budget then raise Exit;
-              push (P.mul_monomial p m))
+              if Rows.count rows * rows.Rows.cols >= expand_budget then raise Exit;
+              for j = 0 to n - 1 do
+                !buf.(j) <- M.Ids.intern_mul ids (P.term p j) m
+              done;
+              push n)
             mults)
         by_degree
     with
     | () | (exception Exit) -> None
     | exception Harness.Budget.Tripped t -> Some t
   in
-  let expanded = List.rev !rows in
+  let nrows = Rows.count rows and cols = rows.Rows.cols in
   match trip with
   | Some { Harness.Budget.kind = Harness.Budget.Time | Harness.Budget.Injected
          | Harness.Budget.Conflicts | Harness.Budget.Cancelled; _ } ->
@@ -196,8 +232,8 @@ let run_impl ~config ~rng ?budget polys =
       {
         facts = [];
         sampled = List.length sample;
-        expanded_rows = List.length expanded;
-        columns = !cols;
+        expanded_rows = nrows;
+        columns = cols;
         rank = 0;
       }
   | Some { Harness.Budget.kind = Harness.Budget.Memory; _ } | None -> (
@@ -213,14 +249,17 @@ let run_impl ~config ~rng ?budget polys =
       in
       match
         Obs.Trace.with_span ~name:"xl.linearize_reduce" (fun () ->
-            let r = Linearize.reduce ~jobs:config.jobs ~poll ~keep:fact_shaped expanded in
+            let r =
+              Linearize.reduce_ids ~jobs:config.jobs ~poll ~keep:fact_shaped ids
+                (Anf.Intern.store rows.Rows.tbl) nrows
+            in
             (r, retain_facts r.Linearize.rows))
       with
       | r, facts ->
           {
             facts;
             sampled = List.length sample;
-            expanded_rows = List.length expanded;
+            expanded_rows = nrows;
             columns = r.Linearize.n_columns;
             rank = r.Linearize.rank;
           }
@@ -228,8 +267,8 @@ let run_impl ~config ~rng ?budget polys =
           {
             facts = [];
             sampled = List.length sample;
-            expanded_rows = List.length expanded;
-            columns = !cols;
+            expanded_rows = nrows;
+            columns = cols;
             rank = 0;
           })
 

@@ -37,20 +37,6 @@ val run :
     equation itself covers the degree-0 multiplier). *)
 val multipliers : vars:int list -> degree:int -> Anf.Monomial.t list
 
-(** [expand ?budget ~multipliers polys] is the full (unsampled) XL
-    expansion: every polynomial times every multiplier, originals
-    included, without duplicates, in first-occurrence order.  Exposed for
-    the Table I reproduction and tests; {!run} expands incrementally
-    under its own size bound instead.
-
-    A tripped [budget] degrades instead of failing: the expansion stops
-    at its next poll and returns the (prefix) partial expansion. *)
-val expand :
-  ?budget:Harness.Budget.t ->
-  multipliers:Anf.Monomial.t list ->
-  Anf.Poly.t list ->
-  Anf.Poly.t list
-
 (** [retain_facts polys] filters to the fact shapes Bosphorus keeps. *)
 val retain_facts : Anf.Poly.t list -> Anf.Poly.t list
 

@@ -4,6 +4,7 @@ type t = Lit.t array
 let of_list lits = Array.of_list (List.sort_uniq Lit.compare lits)
 let to_list c = Array.to_list c
 let length c = Array.length c
+let get (c : t) i = c.(i)
 let is_empty c = Array.length c = 0
 
 let is_tautology c =

@@ -8,6 +8,10 @@ val of_list : Lit.t list -> t
 
 val to_list : t -> Lit.t list
 val length : t -> int
+
+(** [get c i] is the [i]-th literal in ascending order,
+    [0 <= i < length c]. *)
+val get : t -> int -> Lit.t
 val is_empty : t -> bool
 
 (** [is_tautology c] is [true] iff [c] contains both [l] and [¬l]. *)

@@ -16,7 +16,12 @@ let simplify ?(bve = true) ?(max_resolvent_growth = 0) ?(quadratic_limit = 20_00
   let orig_nvars = Formula.nvars f in
   (* live clause store with tombstones *)
   let store : Clause.t option array ref =
-    ref (Array.of_list (List.map Option.some (Formula.clauses f)))
+    let clauses = Formula.clauses f in
+    (* filled from [None], not [Array.of_list]: past 256 slots that would
+       force a minor collection to promote its first element *)
+    let a = Array.make (List.length clauses) None in
+    List.iteri (fun i c -> a.(i) <- Some c) clauses;
+    ref a
   in
   let events = ref [] in
   let fixed_tbl = Hashtbl.create 16 in

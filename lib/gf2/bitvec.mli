@@ -3,9 +3,24 @@
     A [Bitvec.t] is a fixed-length vector of bits stored [Sys.int_size] bits
     per native word.  It is the row representation used by {!Matrix} and the
     hot data structure of XL and ElimLin, so the mutating operations
-    ([xor_into], [set]) are exposed alongside the pure ones. *)
+    ([xor_into], [set]) are exposed alongside the pure ones.
+
+    A vector is a view of a word store: {!create} gives it a store of its
+    own, {!view} lays it over part of a store that other vectors share.
+    Writes through a view write the store. *)
 
 type t
+
+(** An off-heap word store: [Sys.int_size] bits per element. *)
+type words = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(** [create_words n] is a zeroed store of [n] words, one allocation. *)
+val create_words : int -> words
+
+(** [view words ~off ~len] is the [len]-bit vector held in the
+    [max 1 (words_for len)] words of [words] from word [off] on.  Raises
+    [Invalid_argument] if they do not fit. *)
+val view : words -> off:int -> len:int -> t
 
 (** [create n] is a vector of [n] zero bits. Raises [Invalid_argument] if
     [n < 0]. *)
@@ -30,26 +45,9 @@ val copy : t -> t
     vectors must have the same length. *)
 val blit : src:t -> dst:t -> unit
 
-(** [windows rows ~n ~lo ~width out] stores in [out.(r)], for each
-    [r < n], bits [lo, lo + width) of [rows.(r)] packed into an int, bit
-    [lo] as bit 0 — one or two word reads per row whether or not the
-    range straddles a word boundary.  Requires [0 <= width < Sys.int_size],
-    [0 <= lo], [lo + width] within every row read, and [n] within both
-    arrays; raises [Invalid_argument] otherwise. *)
-val windows : t array -> n:int -> lo:int -> width:int -> int array -> unit
-
 (** [xor_into ~src ~dst] updates [dst] to [dst XOR src].  The two vectors
     must have the same length. *)
 val xor_into : src:t -> dst:t -> unit
-
-(** [xor_into_range ~src ~dst ~lo_word ~hi_word] XORs only words
-    [lo_word, hi_word) of the underlying store (clipped to its actual
-    size) — the primitive behind cache-blocked matrix panel updates.
-    Same-length requirement as {!xor_into}. *)
-val xor_into_range : src:t -> dst:t -> lo_word:int -> hi_word:int -> unit
-
-(** Number of backing words ([Sys.int_size] bits each). *)
-val n_words : t -> int
 
 (** [words_for n] is the number of backing words a vector of [n] bits
     occupies — the work unit of the M4RM parallel cutoff. *)

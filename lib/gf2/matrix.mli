@@ -1,8 +1,9 @@
 (** Dense matrices over GF(2) with Gauss–Jordan elimination.
 
     This is the workhorse behind XL and ElimLin (the role M4RI plays in the
-    original Bosphorus).  A matrix is a mutable array of {!Bitvec.t} rows;
-    [rref] reduces it in place to reduced row echelon form. *)
+    original Bosphorus).  A matrix keeps all its rows back to back in one
+    off-heap word store, so making one is a single allocation whatever
+    its size; [rref] reduces it in place to reduced row echelon form. *)
 
 type t
 
@@ -21,8 +22,25 @@ val get : t -> int -> int -> bool
 
 val set : t -> int -> int -> bool -> unit
 
-(** [row m i] is the live [i]-th row (not a copy). *)
+(** [set_row_bits m r ~col ids n] sets bit [col.(ids.(j))] of row [r]
+    for every [j < n] — a row given as ids, placed through a column map.
+    Allocates nothing.  Raises [Invalid_argument] if [r] or a mapped
+    column is out of range. *)
+val set_row_bits : t -> int -> col:int array -> int array -> int -> unit
+
+(** [row m i] is a live view of the [i]-th row position (not a copy):
+    writes through it change [m], and after {!swap_rows} it shows
+    whichever row sits at position [i]. *)
 val row : t -> int -> Bitvec.t
+
+(** [windows m ~lo ~width out] stores in [out.(r)], for each row [r],
+    bits [lo, lo + width) of row [r] packed into an int, bit [lo] as bit
+    0 — one or two word reads per row whether or not the range straddles
+    a word boundary.  Slots of [out] past [rows m] are left alone.
+    Requires [0 <= width < Sys.int_size], [0 <= lo], [lo + width <= cols m]
+    and [rows m <= Array.length out]; raises [Invalid_argument]
+    otherwise. *)
+val windows : t -> lo:int -> width:int -> int array -> unit
 
 (** [copy m] is a deep copy. *)
 val copy : t -> t
@@ -49,10 +67,10 @@ val rref : t -> int
     Produces the same reduced row echelon form as {!rref} (RREF is
     canonical), roughly [k] times faster on large dense matrices.  A
     block spans up to [Sys.int_size - 1] columns, read once per block
-    into one int window per row; pivot search works on the windows, so a
-    row with no bit at the block's pivots or the column being searched
-    costs one int test — sparse matrices, such as XL's expansions, pay
-    for their set bits rather than for rows x columns.
+    into one int window per row; pivot search works on the windows and
+    visits only the rows whose window is nonzero, so sparse matrices,
+    such as XL's expansions, pay for their set bits rather than for
+    rows x columns.
 
     With [jobs > 1] (default 1) each block's trailing row update is
     partitioned across [jobs] domains of the shared {!Runtime.Pool}.

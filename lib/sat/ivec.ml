@@ -16,14 +16,20 @@ let make_buf n : buf =
   A1.fill b 0;
   b
 
-let create ?(cap = 8) () = { data = make_buf (Int.max 1 cap); size = 0 }
+(* The store of every vector that has not grown yet: never written, since
+   a vector writes only below its size and [push] grows it first.  So an
+   empty vector costs a record, not a malloc'd block with a finaliser —
+   a solver makes two per variable for its watch lists. *)
+let empty : buf = A1.create Bigarray.int Bigarray.c_layout 0
+
+let create ?(cap = 0) () = { data = (if cap > 0 then make_buf cap else empty); size = 0 }
 
 let size v = v.size
 
 let grow v needed =
   let cap = A1.dim v.data in
   if needed > cap then begin
-    let data = make_buf (Int.max needed (2 * cap)) in
+    let data = make_buf (Int.max needed (Int.max 8 (2 * cap))) in
     A1.blit (A1.sub v.data 0 v.size) (A1.sub data 0 v.size);
     v.data <- data
   end
@@ -131,6 +137,28 @@ let sort_in_place cmp v =
    is blitted word-for-word, so iteration order and contents are
    identical.  Used by the solver's clone (portfolio worker setup). *)
 let copy v =
-  let data = make_buf (Int.max 1 (A1.dim v.data)) in
-  A1.blit v.data data;
-  { data; size = v.size }
+  if A1.dim v.data = 0 then { data = empty; size = 0 }
+  else begin
+    let data = make_buf (A1.dim v.data) in
+    A1.blit v.data data;
+    { data; size = v.size }
+  end
+
+(* Arrays of vectors are built from chunks of at most 256: [Array.init]
+   past 256 slots makes a major-heap array around its fresh first element,
+   and the runtime forces a minor collection to promote that element
+   first.  [Array.concat] and [Array.append] fill a major array slot by
+   slot instead. *)
+let init_chunked n f =
+  if n <= 256 then Array.init n f
+  else
+    Array.concat
+      (List.init ((n + 255) / 256) (fun c ->
+           let lo = c * 256 in
+           Array.init (Int.min 256 (n - lo)) (fun i -> f (lo + i))))
+
+let make_array n = init_chunked n (fun _ -> create ())
+let copy_array a = init_chunked (Array.length a) (fun i -> copy a.(i))
+
+let extend_array a n =
+  if n <= Array.length a then a else Array.append a (make_array (n - Array.length a))

@@ -2,6 +2,8 @@
 
 type t
 
+(** [create ?cap ()] is an empty vector with room for [cap] ints (default
+    0: no store is allocated until the first push). *)
 val create : ?cap:int -> unit -> t
 val size : t -> int
 val push : t -> int -> unit
@@ -32,3 +34,17 @@ val sort_in_place : (int -> int -> int) -> t -> unit
 
 (** Deep copy sharing no storage with the original. *)
 val copy : t -> t
+
+(** [make_array n] is [n] fresh empty vectors.  Unlike
+    [Array.init n (fun _ -> create ())], it never forces a minor
+    collection, however large [n] is. *)
+val make_array : int -> t array
+
+(** [copy_array a] is [Array.map copy a], with no forced minor
+    collection. *)
+val copy_array : t array -> t array
+
+(** [extend_array a n] is [a] followed by fresh empty vectors up to
+    length [n] ([a] itself if it is that long already), with no forced
+    minor collection. *)
+val extend_array : t array -> int -> t array

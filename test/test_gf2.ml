@@ -87,10 +87,10 @@ let test_bitvec_fold_iter () =
     (List.rev !collected);
   check_int "fold count" 6 (Gf2.Bitvec.fold_set v 0 (fun acc _ -> acc + 1))
 
-(* One row's window through [windows]. *)
+(* One row's window through [Matrix.windows] on a one-row matrix. *)
 let window v ~lo ~width =
   let out = [| -1 |] in
-  Gf2.Bitvec.windows [| v |] ~n:1 ~lo ~width out;
+  Gf2.Matrix.windows (Gf2.Matrix.of_rows ~cols:(Gf2.Bitvec.length v) [ v ]) ~lo ~width out;
   out.(0)
 
 (* [windows] against bit-by-bit [get], for every start and width on
@@ -132,23 +132,22 @@ let test_bitvec_window_boundaries () =
   check_int "widest window, straddling" ((1 lsl 60) lor (1 lsl 61))
     (w ~lo:65 ~width:(Sys.int_size - 1));
   let refuse name f =
-    Alcotest.check_raises name (Invalid_argument "Bitvec.windows: range out of bounds")
+    Alcotest.check_raises name (Invalid_argument "Matrix.windows: range out of bounds")
       (fun () -> ignore (f ()))
   in
   refuse "past the end" (fun () -> w ~lo:188 ~width:3);
   refuse "negative start" (fun () -> w ~lo:(-1) ~width:2);
   refuse "a full word is too wide" (fun () -> w ~lo:0 ~width:Sys.int_size);
   refuse "more rows than the output holds" (fun () ->
-      Gf2.Bitvec.windows [| v; v |] ~n:2 ~lo:0 ~width:3 [| 0 |]);
-  refuse "a shorter row" (fun () ->
-      Gf2.Bitvec.windows [| v; Gf2.Bitvec.create 100 |] ~n:2 ~lo:98 ~width:3 [| 0; 0 |]);
-  (* several rows in one call; slots past [n] are left alone *)
+      Gf2.Matrix.windows (Gf2.Matrix.of_rows ~cols:190 [ v; v ]) ~lo:0 ~width:3 [| 0 |]);
+  (* several rows in one call; slots past the last row are left alone *)
   let rows =
     [| Gf2.Bitvec.of_list 130 [ 62; 63 ]; Gf2.Bitvec.of_list 130 [ 61 ];
        Gf2.Bitvec.of_list 130 [ 64 ]; Gf2.Bitvec.of_list 130 [ 62 ] |]
   in
   let out = Array.make 4 (-1) in
-  Gf2.Bitvec.windows rows ~n:3 ~lo:61 ~width:4 out;
+  Gf2.Matrix.windows (Gf2.Matrix.of_rows ~cols:130 (Array.to_list (Array.sub rows 0 3)))
+    ~lo:61 ~width:4 out;
   Alcotest.(check (array int)) "row by row" [| 0b0110; 0b0001; 0b1000; -1 |] out
 
 let test_bitvec_blit () =
@@ -440,7 +439,7 @@ let test_m4rm_xl_shaped () =
   let mults = Bosphorus.Xl.multipliers ~vars:(List.init nvars (fun i -> i + 1)) ~degree:1 in
   for _ = 1 to 12 do
     let system = List.init (nvars - 4) (fun _ -> quadratic ()) in
-    let _, m = Bosphorus.Linearize.build (Bosphorus.Xl.expand ~multipliers:mults system) in
+    let _, m = Bosphorus.Linearize.build (Xl_oracle.expand ~multipliers:mults system) in
     List.iter
       (fun k -> check (Printf.sprintf "k=%d" k) true (m4rm_agrees_with_rref ~k m))
       [ 1; 3; 6; 8 ]
@@ -533,49 +532,6 @@ let test_bitvec_model_lengths () =
         (Gf2.Bitvec.equal v (Gf2.Bitvec.copy v)))
     boundary_lengths
 
-(* xor_into_range against a per-bit model: only bits whose word index
-   falls in [lo_word, hi_word) are xored, out-of-range word indices clip,
-   and the full range reproduces xor_into exactly. *)
-let test_bitvec_xor_into_range () =
-  let rng = Random.State.make [| 78 |] in
-  List.iter
-    (fun n ->
-      let nw = Gf2.Bitvec.words_for n in
-      check_int
-        (Printf.sprintf "words_for %d" n)
-        ((n + word_bits - 1) / word_bits)
-        nw;
-      for _ = 1 to 25 do
-        let random_vec () =
-          Gf2.Bitvec.of_list n
-            (List.filter (fun _ -> Random.State.bool rng) (List.init n Fun.id))
-        in
-        let src = random_vec () and dst = random_vec () in
-        let lo_word = Random.State.int rng (nw + 2) in
-        let hi_word = lo_word + Random.State.int rng (nw + 2 - lo_word) in
-        let expected =
-          List.init n (fun i ->
-              let w = i / word_bits in
-              if w >= lo_word && w < hi_word then
-                Gf2.Bitvec.get dst i <> Gf2.Bitvec.get src i
-              else Gf2.Bitvec.get dst i)
-        in
-        Gf2.Bitvec.xor_into_range ~src ~dst ~lo_word ~hi_word;
-        List.iteri
-          (fun i b ->
-            check (Printf.sprintf "n=%d [%d,%d) bit %d" n lo_word hi_word i) b
-              (Gf2.Bitvec.get dst i))
-          expected;
-        (* full-range call = xor_into *)
-        let a = random_vec () and b1 = random_vec () in
-        let b2 = Gf2.Bitvec.copy b1 in
-        Gf2.Bitvec.xor_into ~src:a ~dst:b1;
-        Gf2.Bitvec.xor_into_range ~src:a ~dst:b2 ~lo_word:0 ~hi_word:nw;
-        check (Printf.sprintf "n=%d full range = xor_into" n) true
-          (Gf2.Bitvec.equal b1 b2)
-      done)
-    boundary_lengths
-
 (* cache-blocked parallel M4RM on a non-word-aligned shape: bit-identical
    to jobs=1 and to plain Gauss-Jordan *)
 let test_m4rm_nonaligned_parallel () =
@@ -643,7 +599,6 @@ let suite =
         Alcotest.test_case "blit" `Quick test_bitvec_blit;
         Alcotest.test_case "model equivalence at word boundaries" `Quick
           test_bitvec_model_lengths;
-        Alcotest.test_case "xor_into_range model" `Quick test_bitvec_xor_into_range;
       ] );
     ( "gf2.matrix",
       [

@@ -332,14 +332,21 @@ let test_differential_with_sharing () =
   check "clauses were exchanged somewhere in the sweep" true (!n_exchanged > 0)
 
 let test_imports_flow () =
-  (* a race on an UNSAT instance hard enough to outlast the export
-     cadence (~1024 conflicts per slice): clauses must both travel to the
-     exchange and be imported mid-race (the CI smoke asserts the same on
-     a fixed instance) *)
-  let holes = 7 in
-  let f = formula_of ~nvars:((holes + 1) * holes) (pigeonhole ~holes) in
-  let o = Pf.solve ~k:2 ~share:true f in
-  check "unsat" true (is_unsat o.Pf.result);
+  (* An unsatisfiable parity chain that neither seat refutes within 3000
+     conflicts (resolution needs far more): no seat can win, so both run
+     their whole budget, crossing several export slices, and both export
+     the units and binaries they learn.  A seat imports at every slice
+     boundary, and whichever seat runs later takes in what the other
+     published before it, however the two domains are scheduled; the
+     first record a seat learns is never true at the other's root.  So
+     clauses must both travel to the exchange and be imported (the CI
+     smoke asserts the same on a fixed instance). *)
+  let f =
+    Problems.Generators.parity_chain ~vertices:160 ~satisfiable:false
+      ~rng:(Random.State.make [| 2 |])
+  in
+  let o = Pf.solve ~k:2 ~share:true ~conflict_budget:3000 f in
+  check "no seat decides" true (is_undecided o.Pf.result);
   check "clauses travelled" true (o.Pf.exported > 0);
   check "clauses were imported" true (o.Pf.imported > 0)
 
