@@ -211,16 +211,6 @@ let run_main input format_opt out_anf out_cnf solver budget no_learning lint aud
     if audit then { config with Bosphorus.Config.audit_trail = true } else config
   in
   let* () =
-    if config.Bosphorus.Config.audit_trail
-       && config.Bosphorus.Config.gauss = Bosphorus.Config.Gauss_on
-    then
-      Error
-        (`Msg
-           "--gauss on is incompatible with --audit: parity-derived reason \
-            clauses are not RUP-certifiable (use --gauss auto or off)")
-    else Ok ()
-  in
-  let* () =
     let k = config.Bosphorus.Config.karnaugh_vars in
     if k < 0 || k > Minimize.Quine_mccluskey.max_vars then
       Error
@@ -329,9 +319,11 @@ let audit_arg =
   Arg.(value & flag
        & info [ "audit" ]
            ~doc:"Record an audit trail and independently certify every learnt \
-                 fact (GF(2) row-space membership or RUP replay), plus run the \
+                 fact (GF(2) row-space membership, or replay of the SAT \
+                 solver's log: RUP steps and parity steps), plus run the \
                  registered invariant checks; exit nonzero unless all facts \
-                 certify.")
+                 certify.  With --portfolio the SAT stages stay \
+                 single-solver.")
 
 let budget_report_arg =
   Arg.(value & opt (some string) None
@@ -442,9 +434,8 @@ let config_term =
                    propagates implied literals and detects parity conflicts \
                    during search.  MODE is $(b,auto) (engage when a round \
                    carries at least 8 rows; the default), \
-                   $(b,on) or $(b,off).  $(b,on) is rejected together with \
-                   --audit: parity-derived reason clauses are not \
-                   RUP-certifiable.")
+                   $(b,on) or $(b,off).  Under --audit the clauses the \
+                   engine derives are certified as parity steps.")
   in
   let build m dm d k l l' c0 iters seed jobs timeout_s max_memory_monomials
       max_total_conflicts portfolio gauss =

@@ -25,21 +25,81 @@ type report = {
 
 let all_certified r = r.n_facts = r.n_certified
 
-(* ---------------- RUP certification of SAT-stage facts ---------------- *)
+(* ---------------- SAT-stage logs: RUP and parity steps ---------------- *)
 
-(* Replay a stage's derivation log, keeping the steps that check out; a
-   fact's clause encoding is then tested for RUP against the stage CNF plus
-   the verified prefix.  Root units, learnt binaries and probe results all
-   arise from unit propagation over (formula + learnt clauses), so they are
-   RUP-derivable here. *)
-let replay_proof formula_clauses proof =
-  let verified = ref [] in
+(* A recorded XOR row is trusted only if the stage formula refutes, by
+   RUP, every assignment of its variables with the wrong parity; each
+   refutation is first looked up among the formula's own clauses, where
+   the encoding put it.  Rows over more than [max_row_vars] variables
+   (2^(k-1) refutations each) are never trusted: the encoding's pieces
+   have at most max(K, L) variables. *)
+let max_row_vars = 16
+
+let poly_of_row (vars, parity) =
+  List.fold_left (fun acc v -> P.add acc (P.var v)) (P.constant parity) vars
+
+let rec bit_parity a = if a = 0 then 0 else (a land 1) lxor bit_parity (a lsr 1)
+
+let row_holds ~present ~base row =
+  let vars = P.vars_array row in
+  let k = Array.length vars in
+  let parity = if P.has_constant_term row then 1 else 0 in
+  (* ascending variables give the formula's own literal order *)
+  let refuted a =
+    let c = List.init k (fun i -> Cnf.Lit.make vars.(i) ~negated:((a lsr i) land 1 = 1)) in
+    Hashtbl.mem present c || Sat.Proof.is_rup ~clauses:base c
+  in
+  let rec go a = a >= 1 lsl k || ((bit_parity a = parity || refuted a) && go (a + 1)) in
+  k <= max_row_vars && go 0
+
+(* Replay a stage's log and return the stage CNF plus the steps that check
+   out.  A RUP step must be RUP against the formula plus the verified
+   prefix.  A parity step must have its row ({!Sat.Proof.parity_row}) in
+   the span of the stage's trusted XOR rows and the unit rows of the
+   literals unit propagation derives from the verified clauses — the root
+   values the solver's Gauss-Jordan substitutes into its rows.  The unit
+   rows are refreshed only when a parity step misses and new steps were
+   verified since the last refresh.  Root units, learnt binaries and probe
+   results all arise from unit propagation over the verified clauses, so
+   they are RUP-derivable from the result. *)
+let replay_stage (st : Bosphorus.Audit_trail.sat_stage) =
+  let base = List.map Cnf.Clause.to_list (Cnf.Formula.clauses st.formula) in
+  let present = Hashtbl.create 1024 in
+  List.iter (fun c -> Hashtbl.replace present c ()) base;
+  let span = Span.create () in
+  List.iter
+    (fun row ->
+      let p = poly_of_row row in
+      if row_holds ~present ~base p then ignore (Span.insert span p))
+    st.xors;
+  let verified = ref [] and n_verified = ref 0 and units_at = ref (-1) in
+  let clauses () = base @ List.rev !verified in
+  let unit_row l = poly_of_row ([ Cnf.Lit.var l ], not (Cnf.Lit.negated l)) in
+  let add_units () =
+    if !units_at < !n_verified then begin
+      units_at := !n_verified;
+      match Sat.Proof.root_units ~clauses:(clauses ()) with
+      | None -> ignore (Span.insert span P.one)
+      | Some lits -> List.iter (fun l -> ignore (Span.insert span (unit_row l))) lits
+    end
+  in
+  let parity_holds c =
+    let row = poly_of_row (Sat.Proof.parity_row c) in
+    Span.mem span row || (add_units (); Span.mem span row)
+  in
   List.iter
     (fun step ->
-      if Sat.Proof.is_rup ~clauses:(formula_clauses @ List.rev !verified) step
-      then verified := step :: !verified)
-    proof;
-  formula_clauses @ List.rev !verified
+      let c, ok =
+        match step with
+        | Sat.Proof.Rup c -> (c, Sat.Proof.is_rup ~clauses:(clauses ()) c)
+        | Sat.Proof.Parity c -> (c, parity_holds c)
+      in
+      if ok then begin
+        verified := c :: !verified;
+        incr n_verified
+      end)
+    st.proof;
+  clauses ()
 
 (* The clause encoding of a fact polynomial, by shape.  [None] for shapes
    with no small clause form (a nonlinear [Other] fact never originates
@@ -234,13 +294,7 @@ let certify ?max_product_degree ?(max_products = 200_000) ?input
         | None -> []
         | Some trail ->
             List.map
-              (fun st ->
-                let formula = st.Bosphorus.Audit_trail.formula in
-                let base =
-                  List.map Cnf.Clause.to_list (Cnf.Formula.clauses formula)
-                in
-                ( formula,
-                  lazy (replay_proof base st.Bosphorus.Audit_trail.proof) ))
+              (fun st -> (st.Bosphorus.Audit_trail.formula, lazy (replay_stage st)))
               (Bosphorus.Audit_trail.sat_stages trail)
       in
       let ctx =

@@ -15,10 +15,16 @@
 
     - {b RUP}: SAT-solver facts (root units, learnt binaries, probe
       results) are checked against the CNF the solver actually saw: the
-      stage's DRUP log (recorded by {!Bosphorus.Audit_trail} under
-      [Config.audit_trail]) is replayed step by step with
-      {!Sat.Proof.is_rup}, and the fact's clause encoding must itself be
-      RUP against the formula plus the verified steps.
+      stage's proof log (recorded by {!Bosphorus.Audit_trail} under
+      [Config.audit_trail]) is replayed step by step, and the fact's
+      clause encoding must itself be RUP against the formula plus the
+      verified steps.  A RUP step must pass {!Sat.Proof.is_rup}.  A
+      parity step is never tried as RUP: its row
+      ({!Sat.Proof.parity_row}) must lie, by {!Span} membership, in the
+      span of the stage's XOR rows and of the unit rows of the literals
+      unit propagation derives from the verified clauses.  A recorded
+      XOR row joins that span only if the stage formula refutes, by RUP,
+      every assignment of its variables with the wrong parity.
 
     A fact falsified by the run's own satisfying assignment is [Refuted]
     outright.  Facts that match neither path within the degree/product

@@ -1,4 +1,8 @@
-type sat_stage = { formula : Cnf.Formula.t; proof : Cnf.Lit.t list list }
+type sat_stage = {
+  formula : Cnf.Formula.t;
+  xors : (int list * bool) list;
+  proof : Sat.Proof.step list;
+}
 
 type t = {
   input : Anf.Poly.t list;
@@ -6,9 +10,6 @@ type t = {
 }
 
 let create ~input = { input; sat_stages_rev = [] }
-
-let record_sat_stage t ~formula ~proof =
-  t.sat_stages_rev <- { formula; proof } :: t.sat_stages_rev
-
+let record_sat_stage t stage = t.sat_stages_rev <- stage :: t.sat_stages_rev
 let input t = t.input
 let sat_stages t = List.rev t.sat_stages_rev

@@ -33,10 +33,10 @@ type t = {
       (** extension beyond the paper: also harvest unit facts on monomial
           auxiliary variables (sound; off by default for fidelity) *)
   stage_time_s : float;
-      (** wall-clock budget for one XL or ElimLin pass; a pass past its
-          budget stops gracefully and returns the facts found so far.  The
-          paper bounds Bosphorus's total runtime the same way (1,000 of the
-          5,000 s timeout). *)
+      (** wall-clock budget for one ElimLin pass ({!Elimlin.run}): a pass
+          past it stops gracefully and returns the facts found so far.  XL
+          does not read it; XL is bounded by its sample size, by the
+          run's {!Harness.Budget} and by [timeout_s]. *)
   sat_probe_vars : int;
       (** extension beyond the paper: failed-literal probing in the SAT
           stage — assume each of the first N ANF variables both ways and
@@ -45,10 +45,12 @@ type t = {
   seed : int;  (** RNG seed for XL/ElimLin subsampling *)
   audit_trail : bool;
       (** record an {!Audit_trail.t} in the outcome — the input system plus,
-          per SAT stage, the emitted CNF and the solver's DRUP-style proof
-          log — so the audit layer ([lib/audit]) can independently certify
-          every learnt fact after the run.  Off by default: proof logging
-          retains every learnt clause. *)
+          per SAT stage, the emitted CNF, the XOR rows fed to the solver
+          and its proof log of RUP and parity steps — so the audit layer
+          ([lib/audit]) can independently certify every learnt fact after
+          the run.  Auditing does not change what is solved, except that
+          [portfolio] is ignored.  Off by default: proof logging retains
+          every derived clause. *)
   jobs : int;
       (** domain-pool width for the one parallel kernel: the trailing
           panel update of M4RM elimination ({!Gf2.Matrix.rref_m4rm}, used
@@ -96,9 +98,10 @@ type t = {
           {!Sat.Portfolio}).  The winner's solver carries the round's
           facts; with [incremental_sat] it becomes the surviving session
           solver.  1 (the default) keeps the single-solver semantics
-          bit-for-bit.  Ignored when [audit_trail] is on — per-worker
-          DRUP logs are not exchange-aware, so audited runs stay
-          single-solver. *)
+          bit-for-bit.  Ignored when [audit_trail] is on — the one
+          configuration an audit changes: per-worker proof logs do not
+          cite the seat that exported an imported clause, so audited runs
+          stay single-solver. *)
   gauss : gauss_mode;
       (** in-search parity reasoning over the encoding's XOR constraints
           ([--gauss]): the ANF-to-CNF conversion (and, for CNF inputs,
@@ -106,9 +109,10 @@ type t = {
           emitted clauses, and SAT stages feed them to {!Sat.Solver.add_xor}
           so the {!Sat.Parity} engine propagates them during search.
           [Gauss_auto] (the default) engages when a round carries at least
-          8 rows.  Incompatible with [audit_trail]
-          ([Gauss_on] + audit is rejected; auto simply stays off) —
-          parity-derived reasons are not RUP steps. *)
+          8 rows.  Every mode combines with [audit_trail]: the solver logs
+          each clause the engine derives as a parity step, and
+          [Audit.Certify] checks it by GF(2) row-space membership over the
+          stage's XOR rows (see {!Sat.Proof}). *)
 }
 
 val default : t

@@ -208,17 +208,6 @@ let probe_facts ~config ~anf_nvars solver =
   !acc
 
 let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
-  (* Config validation, mirroring the portfolio/audit gate but hard: an
-     audited run must be able to enable proof logging, and a solver that
-     carries XOR rows refuses it (parity-derived reason clauses are not
-     RUP steps over the clause database).  [Gauss_auto] merely stays off
-     under audit; an explicit [Gauss_on] is a contradiction the caller
-     should hear about. *)
-  if config.Config.audit_trail && config.Config.gauss = Config.Gauss_on then
-    invalid_arg
-      "Driver: gauss = Gauss_on is incompatible with audit_trail \
-       (parity-derived reason clauses are not RUP-certifiable; use \
-       Gauss_auto or Gauss_off)";
   let rng = Random.State.make [| config.Config.seed |] in
   (* One budget governs the whole run: wall clock, monomial/clause gauge
      and cumulative solver conflicts.  It is created even when unlimited
@@ -226,21 +215,14 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
      caller-supplied budget (the service daemon, which needs the handle
      for external cancellation) replaces it wholesale — config's ceiling
      fields are then the caller's business. *)
-  (* The learning loop gets the configured wall budget minus a
-     finalization reserve (25%, capped at 1s): after a trip the driver
-     still has to fold the last partial fact batch in and emit the
-     processed CNF, and that grace period is what lets the whole call
-     respect [timeout_s] rather than just the loop. *)
+  (* The learning loop gets the configured wall budget minus the
+     finalization reserve ({!Harness.Budget.loop_timeout_s}). *)
   let budget =
     match budget with
     | Some b -> b
     | None ->
-        let loop_timeout_s =
-          Option.map
-            (fun t -> t -. Float.min 1.0 (0.25 *. t))
-            config.Config.timeout_s
-        in
-        Harness.Budget.create ?timeout_s:loop_timeout_s
+        Harness.Budget.create
+          ?timeout_s:(Option.map Harness.Budget.loop_timeout_s config.Config.timeout_s)
           ?max_memory_monomials:config.Config.max_memory_monomials
           ?max_total_conflicts:config.Config.max_total_conflicts ()
   in
@@ -360,16 +342,15 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
   in
   let budget_interrupt () = Harness.Budget.poll_quiet budget ~layer:"sat" in
   (* Portfolio gate: race K diversified workers per SAT round when asked.
-     Audited runs stay single-solver — a worker's DRUP log omits the
+     Audited runs stay single-solver — a worker's proof log omits the
      clauses it imported, so it is not self-contained. *)
   let use_portfolio = config.Config.portfolio > 1 && trail = None in
-  (* In-search parity gate: audited runs never feed XOR rows (the solver
-     would have to certify non-RUP reason clauses), [Gauss_on] forces them
-     in, and [Gauss_auto] engages once a stage carries enough rows (8) to
-     pay for the Gauss-Jordan bookkeeping. *)
+  (* In-search parity gate: [Gauss_on] forces the XOR rows in, and
+     [Gauss_auto] engages once a stage carries enough rows (8) to pay for
+     the Gauss-Jordan bookkeeping.  Audited runs gate the same way: the
+     solver logs what the parity engine derives as parity steps. *)
   let gauss_wanted n_xors =
-    trail = None
-    && n_xors > 0
+    n_xors > 0
     &&
     match config.Config.gauss with
     | Config.Gauss_on -> true
@@ -523,8 +504,13 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
       :: !sat_rounds;
     (match trail with
     | Some tr ->
-        Audit_trail.record_sat_stage tr ~formula:(Anf_to_cnf.formula inc)
-          ~proof:(Sat.Solver.proof st.Session.solver)
+        Audit_trail.record_sat_stage tr
+          {
+            Audit_trail.formula = Anf_to_cnf.formula inc;
+            xors =
+              List.filteri (fun i _ -> i < st.Session.xors_hwm) (Anf_to_cnf.xors inc);
+            proof = Sat.Solver.proof st.Session.solver;
+          }
     | None -> ());
     Harness.Budget.charge_conflicts budget ~layer:"sat" conflicts;
     added

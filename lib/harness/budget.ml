@@ -76,6 +76,8 @@ let remaining_conflicts t =
 let remaining_time_s t =
   Option.map (fun d -> Float.max 0.0 (d -. Unix.gettimeofday ())) t.deadline
 
+let loop_timeout_s t = t -. Float.min 1.0 (0.25 *. t)
+
 (* First trip wins; every later trip attempt just reads the winner.  The
    cancel token is set exactly once, by the winner, which also drops an
    instant mark on the trace so the trip is visible on the timeline of

@@ -125,6 +125,13 @@ val remaining_conflicts : t -> int option
     below at 0. *)
 val remaining_time_s : t -> float option
 
+(** [loop_timeout_s t] is the share of a [t]-second wall budget a driver
+    run gives its learning loop: [t] minus a finalization reserve of 25%,
+    capped at 1 s.  After a trip the run still folds in its last partial
+    fact batch and emits the processed CNF; the reserve lets the whole
+    call respect [t], not just the loop. *)
+val loop_timeout_s : float -> float
+
 (** {2 Fault injection (env-gated)} *)
 
 (** [inject_trip_after ?layer n] arms a trip on the [n]-th full check

@@ -367,20 +367,6 @@ let gauss t ~assigns =
 (* Cold accessors                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let row_vars t r =
-  let rec go c acc =
-    let c = row_next_col t r ~from:c in
-    if c < 0 then List.rev acc else go (c + 1) (c :: acc)
-  in
-  go 0 []
-
-let live_rows t =
-  let acc = ref [] in
-  for r = t.nrows - 1 downto 0 do
-    if A1.unsafe_get t.live r = 1 then acc := (row_vars t r, row_rhs t r) :: !acc
-  done;
-  !acc
-
 let copy t =
   {
     t with

@@ -96,10 +96,6 @@ val row_rhs : t -> int -> bool
     [>= from], or [-1]. *)
 val row_next_col : t -> int -> from:int -> int
 
-(** Live rows as (sorted variable list, parity) pairs — a cold snapshot
-    for tests and certification. *)
-val live_rows : t -> (int list * bool) list
-
 (** Deep copy sharing no mutable state (portfolio cloning). *)
 val copy : t -> t
 

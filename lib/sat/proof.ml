@@ -1,4 +1,5 @@
-type step = Cnf.Lit.t list
+type clause = Cnf.Lit.t list
+type step = Rup of clause | Parity of clause
 
 (* Truth value of a literal under a partial assignment keyed by variable. *)
 let lit_value assignment l =
@@ -54,17 +55,28 @@ let is_rup ~clauses step =
   in
   if not consistent then true else propagate_to_conflict clauses assignment
 
+let root_units ~clauses =
+  let assignment = Hashtbl.create 64 in
+  if propagate_to_conflict clauses assignment then None
+  else
+    Some
+      (Hashtbl.fold
+         (fun v b acc -> Cnf.Lit.make v ~negated:(not b) :: acc)
+         assignment [])
+
+(* The excluded assignment sets a variable true exactly where its literal
+   is negative, so it has the parity of the negative literals; the row
+   takes the other parity. *)
+let parity_row c =
+  let c = List.sort_uniq Cnf.Lit.compare c in
+  ( List.map Cnf.Lit.var c,
+    List.length (List.filter Cnf.Lit.negated c) mod 2 = 0 )
+
 let check formula proof =
-  let has_empty = List.exists List.is_empty proof in
-  has_empty
-  &&
   let base = List.map Cnf.Clause.to_list (Cnf.Formula.clauses formula) in
+  (* stop at the empty clause: everything after it is irrelevant *)
   let rec go clauses = function
-    | [] -> true
-    | step :: rest ->
-        if is_rup ~clauses step then
-          (* stop at the empty clause: everything after is irrelevant *)
-          if List.is_empty step then true else go (step :: clauses) rest
-        else false
+    | [] | Parity _ :: _ -> false
+    | Rup c :: rest -> is_rup ~clauses c && (List.is_empty c || go (c :: clauses) rest)
   in
   go base proof

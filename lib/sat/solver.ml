@@ -71,11 +71,6 @@ let grow_farr (old : farr) n : farr =
    level-0 Gauss-Jordan assimilation at solve entry and restart
    boundaries. *)
 
-(* Feature combinations documented as unsupported (XOR constraints
-   together with proof logging) raise instead of silently producing
-   unsound runs. *)
-exception Unsupported of string
-
 (* Variable assignments are stored as int codes so that the value of a
    literal is one xor away from the value of its variable — no variant
    matching on the propagation hot path. *)
@@ -120,12 +115,9 @@ type t = {
   mutable max_learnts : float;
   parity : Parity.t; (* XOR rows: watched bitmatrix + level-0 Gauss-Jordan *)
   mutable parity_hwm : int; (* root units assimilated by the last gauss pass *)
-  mutable xor_constrained : bool; (* any add_xor seen (proof logging is off-limits) *)
   parity_scratch : Ivec.t; (* parity reason clause being built *)
-  mutable parity_log_enabled : bool; (* record parity reasons for certification tests *)
-  mutable parity_log : int array list; (* reversed; packed literals *)
   mutable proof_enabled : bool;
-  mutable proof_log : int array list; (* reversed; packed literals *)
+  mutable proof_log : Proof.step list; (* reversed *)
   (* --- preallocated scratch of the zero-allocation hot path --- *)
   mutable prop_conflict : int; (* conflicting cref of the last propagate *)
   analyze_scratch : Ivec.t; (* non-UIP learnt literals, in discovery order *)
@@ -180,10 +172,7 @@ let create ?(config = default_config) ~nvars () =
       max_learnts = 1000.0;
       parity = Parity.create ~cols:n ();
       parity_hwm = 0;
-      xor_constrained = false;
       parity_scratch = Ivec.create ();
-      parity_log_enabled = false;
-      parity_log = [];
       proof_enabled = false;
       proof_log = [];
       prop_conflict = Arena.none;
@@ -233,10 +222,6 @@ let new_var t =
   Var_heap.insert t.heap v;
   v
 
-let lbool_of_code c = if c = code_true then True else if c = code_false then False else Unknown
-
-let var_value t v = lbool_of_code (A1.get t.assigns v)
-
 (* 0 = true, 1 = false, 2 = unknown *)
 let lit_code t p =
   let a = A1.unsafe_get t.assigns (p lsr 1) in
@@ -246,24 +231,18 @@ let decision_level t = Ivec.size t.trail_lim
 
 (* ---------------- proof logging ---------------- *)
 
-let enable_proof t =
-  if t.xor_constrained then
-    raise
-      (Unsupported
-         "Solver.enable_proof: XOR constraints present; parity-derived reason \
-          clauses are not RUP steps over the clause database");
-  t.proof_enabled <- true
+let enable_proof t = t.proof_enabled <- true
 
-let log_derived t lits = if t.proof_enabled then t.proof_log <- lits :: t.proof_log
+let log_step t step = if t.proof_enabled then t.proof_log <- step :: t.proof_log
+
+(* The packed literals of [v] as a clause; built only when logging. *)
+let clause_of_ivec v = List.init (Ivec.size v) (fun i -> Cnf.Lit.of_index (Ivec.get v i))
 
 let mark_unsat t =
   t.ok <- false;
-  log_derived t [||]
+  log_step t (Proof.Rup [])
 
-let proof t =
-  List.rev_map
-    (fun lits -> Array.to_list (Array.map Cnf.Lit.of_index lits))
-    t.proof_log
+let proof t = List.rev t.proof_log
 
 (* ---------------- activity ---------------- *)
 
@@ -377,9 +356,7 @@ let parity_clause t r ~implied_var ~implied_val =
   for i = 0 to n - 1 do
     Arena.set_lit t.arena c i (Ivec.unsafe_get t.parity_scratch i)
   done;
-  if t.parity_log_enabled then
-    t.parity_log <-
-      Array.init n (fun i -> Ivec.unsafe_get t.parity_scratch i) :: t.parity_log;
+  if t.proof_enabled then log_step t (Proof.Parity (clause_of_ivec t.parity_scratch));
   c
 
 (* Drive the parity scan for the just-assigned variable primed by
@@ -734,15 +711,9 @@ let add_clause t lits = add_cnf_clause t (Cnf.Clause.of_list lits)
 let add_formula t f = List.for_all (add_cnf_clause t) (Cnf.Formula.clauses f)
 
 let add_xor t ~vars ~parity =
-  if t.proof_enabled then
-    raise
-      (Unsupported
-         "Solver.add_xor: proof logging is enabled; parity-derived reason \
-          clauses are not RUP steps over the clause database");
   if not t.ok then false
   else begin
     assert (decision_level t = 0);
-    t.xor_constrained <- true;
     (* cancel duplicated variables (GF(2)) and fold root-level values *)
     let sorted = List.sort Int.compare vars in
     let rec dedup = function
@@ -769,14 +740,20 @@ let add_xor t ~vars ~parity =
           else (parity, free))
         (parity, []) distinct
     in
+    (* a row folded to a unit or to 0 = 1 is a parity step: the root
+       values it absorbed are not in the clause *)
     match free with
     | [] ->
         if parity then begin
+          log_step t (Proof.Parity []);
           mark_unsat t;
           false
         end
         else true
-    | [ v ] -> add_clause_internal t (Cnf.Clause.of_list [ Cnf.Lit.make v ~negated:(not parity) ])
+    | [ v ] ->
+        let unit = Cnf.Lit.make v ~negated:(not parity) in
+        log_step t (Proof.Parity [ unit ]);
+        add_clause_internal t (Cnf.Clause.of_list [ unit ])
     | _ :: _ :: _ ->
         Parity.add_row t.parity ~vars:(List.rev free) ~parity;
         true
@@ -890,8 +867,7 @@ let sr_undecided = 3
    literal. *)
 let record_learnt t lbd =
   let nl = Ivec.size t.learnt_scratch in
-  if t.proof_enabled then
-    log_derived t (Array.init nl (fun i -> Ivec.unsafe_get t.learnt_scratch i));
+  if t.proof_enabled then log_step t (Proof.Rup (clause_of_ivec t.learnt_scratch));
   assert (nl > 0);
   if nl = 1 then enqueue t (Ivec.unsafe_get t.learnt_scratch 0) Arena.none
   else begin
@@ -1091,14 +1067,18 @@ let self_check t =
    facts keep feeding the substitution.  Returns [false] on a root-level
    inconsistency (the caller marks the solver UNSAT).  Only called with
    the trail at decision level 0 (solve entry and restart boundaries), so
-   [t.trail_size] is the root-unit count. *)
+   [t.trail_size] is the root-unit count.  Each unit and an inconsistent
+   row set are logged as parity steps: they carry no reason clause. *)
 let rec assimilate t =
   if Parity.n_live t.parity = 0 && not (Parity.dirty t.parity) then true
   else if (not (Parity.dirty t.parity)) && t.trail_size <= t.parity_hwm then true
   else begin
     t.parity_hwm <- t.trail_size;
     t.stats.gauss_rounds <- t.stats.gauss_rounds + 1;
-    if not (Parity.gauss t.parity ~assigns:t.assigns) then false
+    if not (Parity.gauss t.parity ~assigns:t.assigns) then begin
+      log_step t (Proof.Parity []);
+      false
+    end
     else if not (enqueue_gauss_units t 0 (Parity.n_units t.parity)) then false
     else if propagate t <> Arena.none then false
     else assimilate t
@@ -1109,6 +1089,8 @@ and enqueue_gauss_units t i n =
   else begin
     let pl = Parity.unit_lit t.parity i in
     let code = lit_code t pl in
+    if t.proof_enabled && code <> code_true then
+      log_step t (Proof.Parity [ Cnf.Lit.of_index pl ]);
     if code = code_false then false
     else begin
       if code = code_unknown then enqueue t pl Arena.none;
@@ -1348,10 +1330,7 @@ let clone ?config t =
     max_learnts = t.max_learnts;
     parity = Parity.copy t.parity;
     parity_hwm = t.parity_hwm;
-    xor_constrained = t.xor_constrained;
     parity_scratch = Ivec.copy t.parity_scratch;
-    parity_log_enabled = t.parity_log_enabled;
-    parity_log = t.parity_log;
     proof_enabled = t.proof_enabled;
     proof_log = t.proof_log;
     prop_conflict = t.prop_conflict;
@@ -1476,20 +1455,8 @@ let arena_bytes t = Arena.capacity_bytes t.arena
 let arena_wasted_words t = Arena.wasted t.arena
 let n_live_learnts t = Ivec.size t.learnts
 
-let value t v = if v < 0 || v >= t.nvars then Unknown else var_value t v
 let stats t = t.stats
 
 (* ---------------- parity diagnostics ---------------- *)
 
 let n_parity_rows t = Parity.n_live t.parity
-
-let set_parity_log t on =
-  t.parity_log_enabled <- on;
-  if not on then t.parity_log <- []
-
-let parity_reasons t =
-  List.rev_map
-    (fun lits -> Array.to_list (Array.map Cnf.Lit.of_index lits))
-    t.parity_log
-
-let parity_rows t = Parity.live_rows t.parity

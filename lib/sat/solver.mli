@@ -24,13 +24,6 @@ type config = {
 
 val default_config : config
 
-(** Raised by feature combinations that are documented as unsupported and
-    would otherwise silently produce unsound runs: {!add_xor} on a solver
-    with proof logging enabled, and {!enable_proof} on a solver already
-    carrying XOR constraints (parity-derived reason clauses are sound but
-    not RUP over the clause database). *)
-exception Unsupported of string
-
 (** [create ?config ~nvars ()] makes a solver over variables
     [0..nvars-1]. *)
 val create : ?config:config -> nvars:int -> unit -> t
@@ -65,9 +58,8 @@ val add_formula : t -> Cnf.Formula.t -> bool
     watch scheme alone cannot see.  Duplicate variables cancel and
     root-level assignments are folded in; like {!add_clause}, returns
     [false] on an immediate root conflict.  Must be called before
-    {!solve} at decision level 0.
-
-    @raise Unsupported if proof logging is enabled on this solver. *)
+    {!solve} at decision level 0.  With proof logging on, a row that
+    folds to a unit or to [0 = 1] logs that clause as a parity step. *)
 val add_xor : t -> vars:int list -> parity:bool -> bool
 
 (** [solve ?conflict_budget ?time_budget_s ?interrupt t] runs CDCL search.
@@ -144,19 +136,18 @@ val learnt_binaries_from : t -> int -> (Cnf.Lit.t * Cnf.Lit.t) list
 (** All learnt clauses currently in the database, as literal lists. *)
 val learnt_clauses : t -> Cnf.Lit.t list list
 
-(** [enable_proof t] turns on DRUP-style proof logging (see {!Proof}).
-    Call before adding clauses.  Not supported together with {!add_xor}
-    (XOR-derived clauses are sound but not RUP over the CNF).
-
-    @raise Unsupported if the solver already carries XOR constraints. *)
+(** [enable_proof t] turns on proof logging (see {!Proof}).  Call before
+    adding clauses or XOR constraints.  Learnt clauses are logged as RUP
+    steps; every clause the parity engine derives (reason and conflict
+    clauses, Gauss-Jordan units, rows {!add_xor} folds to a unit or to
+    [0 = 1], an inconsistent row set as the empty clause) is logged as a
+    parity step. *)
 val enable_proof : t -> unit
 
-(** Learnt-clause derivation log in order, ending with the empty clause if
-    UNSAT was established; checkable with {!Proof.check}. *)
-val proof : t -> Cnf.Lit.t list list
-
-(** [value t v] is the root-level or model value of variable [v]. *)
-val value : t -> int -> Types.lbool
+(** Derivation log in order, ending with the empty clause if UNSAT was
+    established.  A log without parity steps is checkable with
+    {!Proof.check}. *)
+val proof : t -> Proof.step list
 
 val stats : t -> Types.stats
 
@@ -236,23 +227,6 @@ val note_exported : t -> int -> unit
     [BOSPHORUS_AUDIT] set, {!solve} runs it on entry and fails fast. *)
 val invariant_violations : t -> string list
 
-(** {2 Parity diagnostics}
-
-    Observation hooks for the {!Parity} engine — certification tests and
-    the driver's gauss gating read these; none of them affects search. *)
-
-(** Live parity rows currently held by the solver's {!Parity} engine. *)
+(** Live parity rows currently held by the solver's {!Parity} engine (an
+    observation hook for tests; it does not affect search). *)
 val n_parity_rows : t -> int
-
-(** Current live parity rows as (sorted variable list, parity) pairs. *)
-val parity_rows : t -> (int list * bool) list
-
-(** [set_parity_log t true] records every parity-derived reason/conflict
-    clause for later retrieval with {!parity_reasons}; [false] (the
-    default) stops recording and discards the log.  Recording allocates —
-    leave it off outside certification tests. *)
-val set_parity_log : t -> bool -> unit
-
-(** Parity-derived reason/conflict clauses recorded so far, oldest
-    first. *)
-val parity_reasons : t -> Cnf.Lit.t list list

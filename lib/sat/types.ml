@@ -1,17 +1,3 @@
-type lbool = True | False | Unknown
-
-let lbool_equal a b =
-  match (a, b) with
-  | True, True | False, False | Unknown, Unknown -> true
-  | (True | False | Unknown), _ -> false
-
-let neg_lbool = function True -> False | False -> True | Unknown -> Unknown
-
-let pp_lbool ppf = function
-  | True -> Format.pp_print_string ppf "true"
-  | False -> Format.pp_print_string ppf "false"
-  | Unknown -> Format.pp_print_string ppf "unknown"
-
 type result = Sat of bool array | Unsat | Undecided
 
 let pp_result ppf = function

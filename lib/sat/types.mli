@@ -1,12 +1,5 @@
 (** Shared types for the SAT solver. *)
 
-(** Three-valued assignment. *)
-type lbool = True | False | Unknown
-
-val lbool_equal : lbool -> lbool -> bool
-val neg_lbool : lbool -> lbool
-val pp_lbool : Format.formatter -> lbool -> unit
-
 (** Outcome of a (possibly budgeted) solve. *)
 type result =
   | Sat of bool array  (** model indexed by variable *)

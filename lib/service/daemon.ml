@@ -88,8 +88,8 @@ let release_session t slot =
 
 (* Effective ceilings for one job: the per-client ceiling sliced by the
    client's concurrent share, further clamped by what the request asked
-   for.  The driver's finalization reserve (25% capped at 1s) is applied
-   here because the daemon, not the driver, owns this budget. *)
+   for.  The driver's finalization reserve ({!B.loop_timeout_s}) is
+   applied here because the daemon, not the driver, owns this budget. *)
 let job_budget t job =
   let share = max 1 (Sched.running_of t.sched job.Sched.client) in
   let effective =
@@ -100,7 +100,7 @@ let job_budget t job =
   let loop_limits =
     match effective.B.timeout_s with
     | None -> effective
-    | Some s -> { effective with B.timeout_s = Some (s -. Float.min 1.0 (0.25 *. s)) }
+    | Some s -> { effective with B.timeout_s = Some (B.loop_timeout_s s) }
   in
   B.of_limits loop_limits
 

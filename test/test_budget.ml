@@ -76,6 +76,13 @@ let test_deadline_trip () =
       Budget.check b ~layer:"driver");
   check "remaining time clipped at 0" true (Budget.remaining_time_s b = Some 0.0)
 
+let test_loop_timeout_reserve () =
+  (* 25% of the budget is kept for finalization, at most 1 s of it *)
+  let eq name want got = Alcotest.(check (float 1e-9)) name want got in
+  eq "0.5 s keeps 25%" 0.375 (Budget.loop_timeout_s 0.5);
+  eq "2 s keeps 25%" 1.5 (Budget.loop_timeout_s 2.0);
+  eq "10 s keeps the 1 s cap" 9.0 (Budget.loop_timeout_s 10.0)
+
 let test_first_trip_wins () =
   (* both ceilings violated: the first check records Memory (checked
      before the clock); later checks re-raise that same trip *)
@@ -467,6 +474,7 @@ let suite =
         Alcotest.test_case "memory ceiling" `Quick test_memory_trip;
         Alcotest.test_case "conflict ceiling" `Quick test_conflict_trip;
         Alcotest.test_case "wall-clock deadline" `Quick test_deadline_trip;
+        Alcotest.test_case "finalization reserve" `Quick test_loop_timeout_reserve;
         Alcotest.test_case "first trip wins" `Quick test_first_trip_wins;
         Alcotest.test_case "poll amortization" `Quick test_poll_amortization;
         Alcotest.test_case "poll trips at window boundary" `Quick

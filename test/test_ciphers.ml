@@ -39,8 +39,8 @@ let test_encode_symbolic_add () =
         List.init width (fun i -> (i, a lsr i land 1 = 1))
         @ List.init width (fun i -> (width + i, b lsr i land 1 = 1))
       in
-      match Ciphers.Witness.extend eqs assignment with
-      | Ciphers.Witness.Satisfied values ->
+      match Witness.extend eqs assignment with
+      | Witness.Satisfied values ->
           let lookup x = try Hashtbl.find values x with Not_found -> false in
           let got =
             Array.to_list sum
@@ -48,7 +48,7 @@ let test_encode_symbolic_add () =
             |> List.fold_left ( lor ) 0
           in
           check_int (Printf.sprintf "%d+%d" a b) ((a + b) land 15) got
-      | Ciphers.Witness.Violated _ | Ciphers.Witness.Stuck _ ->
+      | Witness.Violated _ | Witness.Stuck _ ->
           Alcotest.fail "carry chain must extend"
     done
   done
@@ -138,7 +138,7 @@ let test_simon_instance_witness () =
   (* the generating key must satisfy the emitted system *)
   let inst = Ciphers.Simon.instance ~rounds:8 ~n_plaintexts:3 ~rng:(rng 5) () in
   check "witness extends" true
-    (Ciphers.Witness.check inst.Ciphers.Simon.equations (Ciphers.Simon.key_assignment inst));
+    (Witness.check inst.Ciphers.Simon.equations (Ciphers.Simon.key_assignment inst));
   check "plaintexts differ per SP/RC" true
     (List.length (List.sort_uniq Int.compare (List.map fst inst.Ciphers.Simon.pairs)) = 3)
 
@@ -148,7 +148,7 @@ let test_simon_wrong_key_violates () =
     List.map (fun (v, b) -> (v, if v = 0 then not b else b)) (Ciphers.Simon.key_assignment inst)
   in
   check "flipped key bit violates" false
-    (Ciphers.Witness.check inst.Ciphers.Simon.equations wrong)
+    (Witness.check inst.Ciphers.Simon.equations wrong)
 
 let test_simon_sat_recovers_key () =
   (* end-to-end: solve a small instance with the SAT pipeline and check the
@@ -203,13 +203,13 @@ let test_speck_key_schedule_nonlinear () =
 let test_speck_instance_witness () =
   let inst = Ciphers.Speck.instance ~rounds:5 ~n_plaintexts:2 ~rng:(rng 31) () in
   check "witness extends" true
-    (Ciphers.Witness.check inst.Ciphers.Speck.equations (Ciphers.Speck.key_assignment inst));
+    (Witness.check inst.Ciphers.Speck.equations (Ciphers.Speck.key_assignment inst));
   let wrong =
     List.map
       (fun (v, b) -> (v, if v = 3 then not b else b))
       (Ciphers.Speck.key_assignment inst)
   in
-  check "wrong key violates" false (Ciphers.Witness.check inst.Ciphers.Speck.equations wrong)
+  check "wrong key violates" false (Witness.check inst.Ciphers.Speck.equations wrong)
 
 let test_speck_sat_recovers_key () =
   let inst = Ciphers.Speck.instance ~rounds:3 ~n_plaintexts:2 ~rng:(rng 32) () in
@@ -269,7 +269,7 @@ let test_aes_instance_witness () =
   let p = Ciphers.Aes_small.small_params in
   let inst = Ciphers.Aes_small.instance p ~rng:(rng 11) () in
   check "witness extends" true
-    (Ciphers.Witness.check inst.Ciphers.Aes_small.equations
+    (Witness.check inst.Ciphers.Aes_small.equations
        (Ciphers.Aes_small.key_assignment p inst));
   check "equations nonempty" true (inst.Ciphers.Aes_small.equations <> [])
 
@@ -280,7 +280,7 @@ let test_aes_paper_params_instance_shape () =
   check_int "128 key variables" 128 (Array.length inst.Ciphers.Aes_small.key_vars);
   check "hundreds of equations" true (List.length inst.Ciphers.Aes_small.equations > 200);
   check "witness extends" true
-    (Ciphers.Witness.check inst.Ciphers.Aes_small.equations
+    (Witness.check inst.Ciphers.Aes_small.equations
        (Ciphers.Aes_small.key_assignment p inst))
 
 (* ------------------------------------------------------------------ *)
@@ -318,7 +318,7 @@ let test_bitcoin_nonce_instance () =
   | Some nonce ->
       let assignment = List.init 32 (fun i -> (i, nonce lsr (31 - i) land 1 = 1)) in
       check "nonce witnesses instance" true
-        (Ciphers.Witness.check inst.Ciphers.Sha256.equations assignment)
+        (Witness.check inst.Ciphers.Sha256.equations assignment)
   | None -> Alcotest.fail "a 3-zero-bit nonce should exist within 200 tries"
 
 let test_bitcoin_bad_nonce_violates () =
@@ -337,7 +337,7 @@ let test_bitcoin_bad_nonce_violates () =
   let nonce = bad 0 in
   let assignment = List.init 32 (fun i -> (i, nonce lsr (31 - i) land 1 = 1)) in
   check "bad nonce violates" false
-    (Ciphers.Witness.check inst.Ciphers.Sha256.equations assignment)
+    (Witness.check inst.Ciphers.Sha256.equations assignment)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end driver integration                                       *)

@@ -1,8 +1,7 @@
 (* Tests for the in-search parity engine (Sat.Parity), its solver wiring,
-   certification of parity-derived reason clauses, and the XOR-path
-   regressions that rode along with it: Xor_module.recover canonicalization,
-   degenerate extended-DIMACS x lines, and the add_xor/proof-logging and
-   gauss/audit feature gates. *)
+   the parity steps it logs and their certification by Audit.Certify, and
+   the XOR-path regressions that rode along with it: Xor_module.recover
+   canonicalization and degenerate extended-DIMACS x lines. *)
 
 module L = Cnf.Lit
 module S = Sat.Solver
@@ -94,9 +93,11 @@ let test_parity_copy_independent () =
   Pa.add_row u ~vars:[ 2; 3 ] ~parity:false;
   check_int "original unchanged" 1 (Pa.n_live t);
   check_int "copy extended" 2 (Pa.n_live u);
-  check "rows match"
-    true
-    (Pa.live_rows t = [ ([ 0; 1 ], true) ])
+  check "row 0 is x0 + x1 = 1" true
+    (Pa.row_next_col t 0 ~from:0 = 0
+    && Pa.row_next_col t 0 ~from:1 = 1
+    && Pa.row_next_col t 0 ~from:2 = -1
+    && Pa.row_rhs t 0)
 
 (* ------------------------------------------------------------------ *)
 (* Solver-level engine behaviour                                       *)
@@ -239,24 +240,28 @@ let prop_gauss_on_off_oracle =
       expected = off_verdict && expected = on_verdict)
 
 (* ------------------------------------------------------------------ *)
-(* Certification of parity-derived reason clauses                      *)
+(* Parity steps in the proof log and their certification              *)
 (* ------------------------------------------------------------------ *)
 
-(* Every parity-derived reason/conflict clause must be a logical
-   consequence of clauses + XOR encodings.  Fast path: single-step RUP
-   over the clause list (holds for reasons from original, uncombined
-   rows).  Gauss-combined rows can escape single-step RUP (Laitinen), so
-   fall back to a refutation solve: clauses + negated reason must be
-   UNSAT. *)
-let certified ~nvars ~clauses reason =
-  Sat.Proof.is_rup ~clauses reason
+(* Every parity step must be a logical consequence of clauses + XOR
+   encodings.  Fast path: single-step RUP over the clause list (holds for
+   reasons from original, uncombined rows).  Gauss-combined rows can
+   escape single-step RUP (Laitinen), so fall back to a refutation solve:
+   clauses + negated step must be UNSAT. *)
+let certified ~nvars ~clauses c =
+  Sat.Proof.is_rup ~clauses c
   ||
   let s = S.create ~nvars () in
   let consistent =
     List.for_all (fun c -> S.add_clause s c) clauses
-    && List.for_all (fun l -> S.add_clause s [ L.neg l ]) reason
+    && List.for_all (fun l -> S.add_clause s [ L.neg l ]) c
   in
   (not consistent) || is_unsat (S.solve s)
+
+let parity_steps s =
+  List.filter_map
+    (function Sat.Proof.Parity c -> Some c | Sat.Proof.Rup _ -> None)
+    (S.proof s)
 
 let test_reason_clauses_certified () =
   let total = ref 0 in
@@ -265,22 +270,111 @@ let test_reason_clauses_certified () =
       let f, xors = parity_instance ~vertices:12 ~satisfiable ~seed in
       let nvars = Cnf.Formula.nvars f in
       let s = S.create ~nvars () in
+      S.enable_proof s;
       check "formula ok" true (S.add_formula s f);
       ignore
         (List.for_all (fun (vars, parity) -> S.add_xor s ~vars ~parity) xors);
-      S.set_parity_log s true;
       ignore (S.solve s);
       let clauses = List.map Cnf.Clause.to_list (Cnf.Formula.clauses f) in
-      let reasons = S.parity_reasons s in
-      total := !total + List.length reasons;
+      let steps = parity_steps s in
+      total := !total + List.length steps;
       List.iter
-        (fun reason ->
-          check "reason certified" true (certified ~nvars ~clauses reason))
-        reasons)
+        (fun c -> check "parity step certified" true (certified ~nvars ~clauses c))
+        steps)
     [ (true, 3); (false, 4); (true, 5) ];
-  (* an UNSAT instance may die at level 0 with no in-search reasons, but
-     across the batch the engine must have derived some *)
-  check "reasons recorded across batch" true (!total > 0)
+  (* an UNSAT instance may die at level 0, but across the batch the
+     engine must have derived reasons *)
+  check "parity steps logged across batch" true (!total > 0)
+
+let status_kind (o : Bosphorus.Driver.outcome) =
+  match o.Bosphorus.Driver.status with
+  | Bosphorus.Driver.Solved_sat _ -> `Sat
+  | Bosphorus.Driver.Solved_unsat -> `Unsat
+  | Bosphorus.Driver.Processed | Bosphorus.Driver.Degraded -> `Open
+
+let prop_gauss_audit_certifies =
+  QCheck.Test.make ~name:"gauss-on audited run_cnf certifies, agrees with gauss off"
+    ~count:12
+    QCheck.(quad (int_range 4 8) bool bool (int_bound 10_000))
+    (fun (half, satisfiable, incremental_sat, seed) ->
+      let f =
+        Problems.Generators.parity_chain ~vertices:(2 * half) ~satisfiable
+          ~rng:(Random.State.make [| seed |])
+      in
+      let run gauss audit_trail =
+        Bosphorus.Driver.run_cnf
+          ~config:
+            { Bosphorus.Config.default with Bosphorus.Config.gauss; audit_trail; incremental_sat }
+          f
+      in
+      let audited = run Bosphorus.Config.Gauss_on true in
+      let off = run Bosphorus.Config.Gauss_off false in
+      (* a disconnected multigraph can make a [satisfiable] chain UNSAT,
+         so the oracle is the gauss-off run, which must decide *)
+      Audit.Certify.all_certified (Audit.Certify.certify audited)
+      && status_kind audited = status_kind off
+      && status_kind off <> `Open)
+
+(* A hand-made trail over x0+x1 = 1 and x0+x1+x4 = 0 (as clauses) plus
+   (~x2 | x3).  The genuine parity step x4 (the sum of the two rows) must
+   certify its fact; the forged step x2 — whose row lies outside the span,
+   backed by a recorded row x2 = 1 that the formula does not imply — must
+   not, and neither may x3, which is RUP only given x2. *)
+let test_forged_parity_step_rejected () =
+  let xor vars parity =
+    Sat.Xor_module.clauses_of_xor (Sat.Xor_module.make_xor ~vars ~parity)
+  in
+  let formula =
+    Cnf.Formula.create ~nvars:5
+      (xor [ 0; 1 ] true @ xor [ 0; 1; 4 ] false
+      @ [ Cnf.Clause.of_list [ L.neg_of 2; L.pos 3 ] ])
+  in
+  let trail =
+    (* a degree-5 input mentions every variable but implies none of the
+       facts at low degree, so only the stage log can certify them *)
+    Bosphorus.Audit_trail.create ~input:[ Anf.Anf_io.poly_of_string "x0*x1*x2*x3*x4" ]
+  in
+  Bosphorus.Audit_trail.record_sat_stage trail
+    {
+      Bosphorus.Audit_trail.formula;
+      xors = [ ([ 0; 1 ], true); ([ 0; 1; 4 ], false); ([ 2 ], true) ];
+      proof =
+        [
+          Sat.Proof.Parity [ L.pos 4 ];
+          Sat.Proof.Parity [ L.pos 2 ];
+          Sat.Proof.Rup [ L.pos 3 ];
+        ];
+    };
+  let facts = Bosphorus.Facts.create () in
+  let unit x = Anf.Poly.add (Anf.Poly.var x) Anf.Poly.one in
+  List.iter
+    (fun x -> ignore (Bosphorus.Facts.add facts Bosphorus.Facts.Sat_solver (unit x)))
+    [ 4; 2; 3 ];
+  let outcome =
+    {
+      Bosphorus.Driver.status = Bosphorus.Driver.Processed;
+      anf = [];
+      cnf = formula;
+      facts;
+      iterations = 1;
+      sat_calls = 1;
+      sat_rounds = [];
+      trail = Some trail;
+      budget_report = None;
+    }
+  in
+  let r = Audit.Certify.certify outcome in
+  let certified_fact x =
+    List.exists
+      (fun fr ->
+        Anf.Poly.equal fr.Audit.Certify.fact (unit x)
+        && match fr.Audit.Certify.verdict with Audit.Certify.Certified _ -> true | _ -> false)
+      r.Audit.Certify.facts
+  in
+  check "genuine parity step certifies its fact" true (certified_fact 4);
+  check "forged parity step does not" false (certified_fact 2);
+  check "dependent fact does not" false (certified_fact 3);
+  check_int "nothing refuted, two unknown" 2 r.Audit.Certify.n_unknown
 
 (* ------------------------------------------------------------------ *)
 (* Satellite regressions                                               *)
@@ -337,34 +431,6 @@ let test_dimacs_degenerate_roundtrip () =
   let f', xors = Cnf.Dimacs.parse_string_extended s in
   check "even-empty dropped" true (xors = [] && Cnf.Formula.brute_force_sat f' = Some true)
 
-let test_add_xor_proof_unsupported () =
-  (* both orders of the unsupported combination raise *)
-  let s = S.create ~nvars:3 () in
-  S.enable_proof s;
-  (try
-     ignore (S.add_xor s ~vars:[ 0; 1 ] ~parity:true);
-     Alcotest.fail "add_xor under proof logging should raise"
-   with S.Unsupported _ -> ());
-  let s = S.create ~nvars:3 () in
-  ignore (S.add_xor s ~vars:[ 0; 1 ] ~parity:true);
-  try
-    S.enable_proof s;
-    Alcotest.fail "enable_proof with xor rows should raise"
-  with S.Unsupported _ -> ()
-
-let test_driver_gauss_audit_rejected () =
-  let config =
-    {
-      Bosphorus.Config.default with
-      Bosphorus.Config.audit_trail = true;
-      gauss = Bosphorus.Config.Gauss_on;
-    }
-  in
-  try
-    ignore (Bosphorus.Driver.run ~config [ Anf.Poly.var 0 ]);
-    Alcotest.fail "Gauss_on + audit_trail should be rejected"
-  with Invalid_argument _ -> ()
-
 let test_driver_gauss_cnf_paths () =
   (* run_cnf with gauss forced on and forced off, and with gauss on in
      fresh mode (every round feeds the rows of a new conversion), must
@@ -396,6 +462,10 @@ let test_driver_gauss_cnf_paths () =
 let qcheck_cases =
   List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_gauss_on_off_oracle ]
 
+let audit_cases =
+  Alcotest.test_case "forged parity step rejected" `Quick test_forged_parity_step_rejected
+  :: List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_gauss_audit_certifies ]
+
 let suite =
   [
     ( "parity.engine",
@@ -418,6 +488,7 @@ let suite =
           test_reason_clauses_certified;
       ] );
     ("parity.differential", qcheck_cases);
+    ("parity.audit", audit_cases);
     ( "parity.regressions",
       [
         Alcotest.test_case "recover skips tautologies" `Quick
@@ -427,10 +498,6 @@ let suite =
         Alcotest.test_case "degenerate x lines" `Quick test_dimacs_degenerate_x_lines;
         Alcotest.test_case "degenerate x roundtrip" `Quick
           test_dimacs_degenerate_roundtrip;
-        Alcotest.test_case "add_xor/proof unsupported" `Quick
-          test_add_xor_proof_unsupported;
-        Alcotest.test_case "driver rejects gauss+audit" `Quick
-          test_driver_gauss_audit_rejected;
         Alcotest.test_case "driver cnf paths agree" `Quick test_driver_gauss_cnf_paths;
       ] );
   ]

@@ -455,7 +455,7 @@ let test_proof_simple_unsat () =
   List.iter (fun c -> ignore (S.add_clause s (clause c))) cls;
   check "unsat" true (is_unsat (S.solve s));
   let proof = S.proof s in
-  check "ends with empty clause" true (List.exists (fun st -> st = []) proof);
+  check "ends with empty clause" true (List.mem (Sat.Proof.Rup []) proof);
   let f = Cnf.Formula.create ~nvars:2 (List.map (fun c -> Cnf.Clause.of_list (clause c)) cls) in
   check "certificate verifies" true (Sat.Proof.check f proof)
 
@@ -481,12 +481,16 @@ let test_proof_rejects_bogus () =
   (* a fabricated certificate must be rejected *)
   let f = Cnf.Dimacs.parse_string "p cnf 3 2\n1 2 0\n-1 3 0\n" in
   (* claiming the empty clause out of thin air *)
-  check "bogus rejected" false (Sat.Proof.check f [ [] ]);
+  check "bogus rejected" false (Sat.Proof.check f [ Sat.Proof.Rup [] ]);
   (* claiming a non-implied unit *)
   check "non-implied step rejected" false
-    (Sat.Proof.check f [ [ L.pos 0 ]; [] ]);
+    (Sat.Proof.check f [ Sat.Proof.Rup [ L.pos 0 ]; Sat.Proof.Rup [] ]);
   (* a missing empty clause is not a certificate *)
-  check "no empty clause" false (Sat.Proof.check f [ [ L.pos 0; L.pos 2 ] ])
+  check "no empty clause" false
+    (Sat.Proof.check f [ Sat.Proof.Rup [ L.pos 0; L.pos 2 ] ]);
+  (* a parity step is outside the plain DRUP checker's scope *)
+  check "parity step rejected" false
+    (Sat.Proof.check f [ Sat.Proof.Parity []; Sat.Proof.Rup [] ])
 
 let test_proof_is_rup_direct () =
   (* from (a|b) and (~a|b), b is RUP *)
@@ -521,7 +525,7 @@ let test_proof_check_requires_empty_clause () =
         Cnf.Clause.of_list [ L.neg_of 0; L.pos 1 ];
       ]
   in
-  check "rup steps but no empty clause" false (Sat.Proof.check f [ [ L.pos 1 ] ]);
+  check "rup steps but no empty clause" false (Sat.Proof.check f [ Sat.Proof.Rup [ L.pos 1 ] ]);
   check "empty proof" false (Sat.Proof.check f [])
 
 let test_invariant_violations_healthy () =
@@ -637,30 +641,30 @@ let probe_suite =
 let test_enumerate_simple () =
   (* (x0 | x1) has 3 models *)
   let f = formula_of (2, [ [ 1; 2 ] ]) in
-  (match Sat.Enumerate.models f with
+  (match Enumerate.models f with
   | ms, true ->
       check_int "three models" 3 (List.length ms);
       List.iter (fun m -> check "model valid" true (Cnf.Formula.eval (fun v -> m.(v)) f)) ms
   | _, false -> Alcotest.fail "enumeration should complete");
-  check "count" true (Sat.Enumerate.count f = Some 3)
+  check "count" true (Enumerate.count f = Some 3)
 
 let test_enumerate_limit () =
   (* unconstrained over 6 vars: 64 models; limit 10 stops early *)
   let f = Cnf.Formula.create ~nvars:6 [ Cnf.Clause.of_list [ L.pos 0; L.neg_of 0 ] ] in
   let f = Cnf.Formula.add_clause f (Cnf.Clause.of_list [ L.pos 0; L.pos 1 ]) in
-  match Sat.Enumerate.models ~limit:10 f with
+  match Enumerate.models ~limit:10 f with
   | ms, false -> check_int "stopped at limit" 10 (List.length ms)
   | _, true -> Alcotest.fail "limit should bind"
 
 let test_enumerate_exact_boundary () =
   let f = formula_of (2, [ [ 1; -1 ] ]) in
   (* below the model count: incomplete by construction *)
-  (match Sat.Enumerate.models ~limit:3 f with
+  (match Enumerate.models ~limit:3 f with
   | ms, complete ->
       check_int "three found" 3 (List.length ms);
       check "not complete" false complete);
   (* above the model count: complete *)
-  match Sat.Enumerate.models ~limit:5 f with
+  match Enumerate.models ~limit:5 f with
   | ms, complete ->
       check_int "all four" 4 (List.length ms);
       check "certified complete" true complete
@@ -670,19 +674,19 @@ let test_enumerate_projection () =
   let f =
     formula_of (3, [ [ -2; 3 ]; [ 2; -3 ] ])
   in
-  check "projected" true (Sat.Enumerate.count ~relevant:[ 1; 2 ] f = Some 2);
-  check "unprojected" true (Sat.Enumerate.count f = Some 4)
+  check "projected" true (Enumerate.count ~relevant:[ 1; 2 ] f = Some 2);
+  check "unprojected" true (Enumerate.count f = Some 4)
 
 let test_enumerate_unsat () =
   let f = formula_of (1, [ [ 1 ]; [ -1 ] ]) in
-  check "no models" true (Sat.Enumerate.count f = Some 0)
+  check "no models" true (Enumerate.count f = Some 0)
 
 let prop_enumeration_matches_brute_force =
   QCheck.Test.make ~name:"enumeration count = brute force count" ~count:200 arb_cnf
     (fun (nvars, cls) ->
       let f = formula_of (nvars, cls) in
       (* nvars <= 10, so 2048 strictly exceeds the maximum model count *)
-      Sat.Enumerate.count ~limit:2048 f = Some (Cnf.Formula.brute_force_count f))
+      Enumerate.count ~limit:2048 f = Some (Cnf.Formula.brute_force_count f))
 
 let prop_driver_preserves_projected_count =
   (* Section V via enumeration: the processed CNF of the driver has exactly
@@ -701,7 +705,7 @@ let prop_driver_preserves_projected_count =
       | Bosphorus.Driver.Degraded ->
           let augmented = Bosphorus.Driver.augmented_cnf f outcome in
           let relevant = List.init (Cnf.Formula.nvars f) Fun.id in
-          Sat.Enumerate.count ~limit:4096 ~relevant augmented
+          Enumerate.count ~limit:4096 ~relevant augmented
           = Some (Cnf.Formula.brute_force_count f))
 
 let enumerate_suite =
