@@ -1,7 +1,22 @@
 (* Sorted array of distinct literals. *)
 type t = Lit.t array
 
-let of_list lits = Array.of_list (List.sort_uniq Lit.compare lits)
+(* [x < y]: the array of [x], [y] and [z], ascending. *)
+let sorted3 x y z =
+  if Lit.compare y z < 0 then [| x; y; z |]
+  else if Lit.compare x z < 0 then [| x; z; y |]
+  else [| z; x; y |]
+
+(* Two and three distinct literals, most of the clauses the generators and
+   the ANF-to-CNF conversion build, are sorted without the lists and
+   closures of [List.sort_uniq]. *)
+let of_list lits =
+  match lits with
+  | [ a; b ] when not (Lit.equal a b) ->
+      if Lit.compare a b < 0 then [| a; b |] else [| b; a |]
+  | [ a; b; c ] when not (Lit.equal a b || Lit.equal a c || Lit.equal b c) ->
+      if Lit.compare a b < 0 then sorted3 a b c else sorted3 b a c
+  | _ -> Array.of_list (List.sort_uniq Lit.compare lits)
 let to_list c = Array.to_list c
 let length c = Array.length c
 let get (c : t) i = c.(i)

@@ -3,9 +3,11 @@ type t = { nvars : int; clauses : Clause.t list (* reversed insertion order *) }
 let clause_span c = Clause.max_var c + 1
 
 let create ~nvars clauses =
-  let useful = List.filter (fun c -> not (Clause.is_tautology c)) clauses in
-  let nvars = List.fold_left (fun acc c -> Int.max acc (clause_span c)) nvars useful in
-  { nvars; clauses = List.rev useful }
+  let rev_useful =
+    List.fold_left (fun acc c -> if Clause.is_tautology c then acc else c :: acc) [] clauses
+  in
+  let nvars = List.fold_left (fun acc c -> Int.max acc (clause_span c)) nvars rev_useful in
+  { nvars; clauses = rev_useful }
 
 let empty ~nvars = { nvars; clauses = [] }
 let nvars t = t.nvars

@@ -4,16 +4,18 @@ module F = Cnf.Formula
 
 let random_ksat ~nvars ~n_clauses ~k ~rng =
   if k > nvars then invalid_arg "random_ksat: k > nvars";
+  (* One table samples every clause's k distinct variables.  [clear]
+     keeps its bucket array (never resized: it holds at most k <= its
+     bucket count), so the fold visits the variables, and draws their
+     signs, in the order a fresh [Hashtbl.create k] would. *)
+  let chosen = Hashtbl.create k in
+  let draw_sign v () acc = L.make v ~negated:(Random.State.bool rng) :: acc in
   let clause () =
-    (* sample k distinct variables *)
-    let chosen = Hashtbl.create k in
+    Hashtbl.clear chosen;
     while Hashtbl.length chosen < k do
       Hashtbl.replace chosen (Random.State.int rng nvars) ()
     done;
-    C.of_list
-      (Hashtbl.fold
-         (fun v () acc -> L.make v ~negated:(Random.State.bool rng) :: acc)
-         chosen [])
+    C.of_list (Hashtbl.fold draw_sign chosen [])
   in
   F.create ~nvars (List.init n_clauses (fun _ -> clause ()))
 
@@ -55,10 +57,29 @@ let parity_chain_xors ~vertices ~satisfiable ~rng =
     incident.(a) <- e :: incident.(a);
     incident.(b) <- e :: incident.(b)
   done;
-  (* vertex charges: random, with total parity 0 (SAT) or 1 (UNSAT) *)
+  (* vertex charges: random, then fixed up without further draws.  The
+     formula is satisfiable iff every connected component has even
+     charge: the SAT case flips the lowest vertex of each odd component,
+     the UNSAT case flips vertex 0 if the total is even.  On a connected
+     graph both flip vertex 0 exactly when the total has the wrong
+     parity. *)
   let charges = Array.init vertices (fun _ -> Random.State.bool rng) in
-  let total = Array.fold_left (fun acc c -> acc <> c) false charges in
-  if total <> not satisfiable then charges.(0) <- not charges.(0);
+  if satisfiable then begin
+    (* union-find whose roots are each component's lowest vertex *)
+    let low = Array.init vertices Fun.id in
+    let rec root v = if low.(v) = v then v else root low.(v) in
+    for e = 0 to n_edges - 1 do
+      let ra = root stubs.(2 * e) and rb = root stubs.((2 * e) + 1) in
+      low.(Int.max ra rb) <- Int.min ra rb
+    done;
+    let odd = Array.make vertices false in
+    Array.iteri (fun v c -> if c then odd.(root v) <- not odd.(root v)) charges;
+    Array.iteri (fun r o -> if o then charges.(r) <- not charges.(r)) odd
+  end
+  else begin
+    let total = Array.fold_left (fun acc c -> acc <> c) false charges in
+    if not total then charges.(0) <- not charges.(0)
+  end;
   let xors =
     List.init vertices (fun v ->
         Sat.Xor_module.make_xor ~vars:incident.(v) ~parity:charges.(v))

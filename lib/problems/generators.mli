@@ -16,10 +16,11 @@ val pigeonhole : holes:int -> Cnf.Formula.t
 (** [parity_chain ~vertices ~satisfiable ~rng] is a Tseitin parity formula
     on a random 3-regular multigraph: one variable per edge, one XOR
     equation per vertex (the parity of its incident edges equals the
-    vertex charge).  Charges sum to 0 when [satisfiable] and 1 otherwise —
-    the unsatisfiable case is the classical resolution-hard family that
-    GF(2) reasoning refutes by summing all equations.  [vertices] must be
-    even and at least 4. *)
+    vertex charge).  When [satisfiable], the charges of every connected
+    component sum to 0 (the condition for a Tseitin formula to have a
+    model); otherwise all charges sum to 1 — the classical
+    resolution-hard family that GF(2) reasoning refutes by summing all
+    equations.  [vertices] must be even and at least 4. *)
 val parity_chain :
   vertices:int -> satisfiable:bool -> rng:Random.State.t -> Cnf.Formula.t
 

@@ -82,6 +82,7 @@ let set_activity t c a = A1.unsafe_set t.act c a
    call would box its return on every clause bump).  Invalidated by any
    growth — re-fetch per use. *)
 let act_store t = t.act
+let data t = t.data
 
 let clause_words n = n + 2
 

@@ -51,6 +51,15 @@ val set_lbd : t -> cref -> int -> unit
 val activity : t -> cref -> float
 val set_activity : t -> cref -> float -> unit
 
+(** The live word store, for hot loops that read clause words by offset
+    instead of calling {!lit}/{!n_lits}/{!is_deleted} per element (this
+    library is compiled with [-opaque] in dune's default profile, so no
+    call into [Arena] is inlined).  Clause [c]'s header is word [c]
+    ([n_lits lsl 3 lor temp lsl 2 lor deleted lsl 1 lor learnt]), its LBD
+    word [c+1] and its literal [i] word [c+2+i].  Invalidated by any
+    clause allocation that grows the arena, like {!act_store}. *)
+val data : t -> (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 (** The live float64 activity store, indexed by {!cref} — hot paths read
     and write it directly so float traffic stays unboxed across the
     module boundary.  Invalidated by any clause allocation that grows the

@@ -61,6 +61,7 @@ let set v i x =
    bound themselves. *)
 let unsafe_get v i = A1.unsafe_get v.data i
 let unsafe_set v i x = A1.unsafe_set v.data i x
+let store v = v.data
 
 let shrink v n =
   if n < 0 || n > v.size then invalid_arg "Ivec.shrink";

@@ -2,6 +2,10 @@
 
 type t
 
+(** The backing word store: element [i] of a vector [v] is slot [i] of
+    [store v], for [i < size v]. *)
+type buf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 (** [create ?cap ()] is an empty vector with room for [cap] ints (default
     0: no store is allocated until the first push). *)
 val create : ?cap:int -> unit -> t
@@ -19,6 +23,13 @@ val set : t -> int -> int -> unit
 val unsafe_get : t -> int -> int
 
 val unsafe_set : t -> int -> int -> unit
+
+(** [store v] is [v]'s live word store, for hot loops that read and write
+    it by offset instead of calling an accessor per element (this library
+    is compiled with [-opaque] in dune's default profile, so no call into
+    [Ivec] is inlined).  Any growth replaces the store: re-fetch it after
+    a push to [v]. *)
+val store : t -> buf
 val shrink : t -> int -> unit
 val clear : t -> unit
 val iter : (int -> unit) -> t -> unit

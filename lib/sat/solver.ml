@@ -120,9 +120,10 @@ type t = {
   mutable proof_log : Proof.step list; (* reversed *)
   (* --- preallocated scratch of the zero-allocation hot path --- *)
   mutable prop_conflict : int; (* conflicting cref of the last propagate *)
-  analyze_scratch : Ivec.t; (* non-UIP learnt literals, in discovery order *)
+  analyze_scratch : Ivec.t;
+      (* non-UIP learnt literals, in discovery order; after the UIP walk
+         their variables are exactly the ones still marked seen *)
   learnt_scratch : Ivec.t; (* the learnt clause being built *)
-  to_clear : Ivec.t; (* variables whose seen flag needs resetting *)
   mutable analyze_bt : int; (* backtrack level of the last analysis *)
   mutable analyze_lbd : int; (* LBD of the last learnt clause *)
   mutable lbd_stamp : iarr; (* decision level -> stamp epoch *)
@@ -135,6 +136,30 @@ type t = {
 
 let lit_var p = p lsr 1
 let lit_neg p = p lxor 1
+
+(* ---------------- hoisted stores ---------------- *)
+
+(* dune's default (dev) profile compiles every module with [-opaque], so
+   no call into {!Ivec} or {!Arena} is inlined: each [Ivec.unsafe_get] or
+   [Arena.lit] is an out-of-line call that reloads the record field and
+   the Bigarray data pointer.  The hot loops below therefore take the
+   stores they touch as arguments, fetched once per propagated literal or
+   per conflict, and read the words by offset through these helpers, which
+   ocamlopt inlines.  A clause [c] in the arena store ({!Arena.data}) has
+   its header at word [c] (n_lits lsl 3 | temp lsl 2 | deleted lsl 1 |
+   learnt) and its literal [i] at word [c+2+i]. *)
+let[@inline] c_n_lits (ad : iarr) c = A1.unsafe_get ad c lsr 3
+let[@inline] c_learnt (ad : iarr) c = A1.unsafe_get ad c land 1 = 1
+let[@inline] c_deleted (ad : iarr) c = A1.unsafe_get ad c land 2 = 2
+let[@inline] c_temp (ad : iarr) c = A1.unsafe_get ad c land 4 = 4
+let[@inline] c_lit (ad : iarr) c i = A1.unsafe_get ad (c + 2 + i)
+let[@inline] c_set_lit (ad : iarr) c i p = A1.unsafe_set ad (c + 2 + i) p
+
+(* The value code of literal [p] under the assignment store [assigns]:
+   0 = true, 1 = false, 2 = unknown. *)
+let[@inline] code_of (assigns : iarr) p =
+  let a = A1.unsafe_get assigns (p lsr 1) in
+  if a = code_unknown then code_unknown else a lxor (p land 1)
 
 let create ?(config = default_config) ~nvars () =
   if nvars < 0 then invalid_arg "Solver.create";
@@ -178,7 +203,6 @@ let create ?(config = default_config) ~nvars () =
       prop_conflict = Arena.none;
       analyze_scratch = Ivec.create ();
       learnt_scratch = Ivec.create ();
-      to_clear = Ivec.create ();
       analyze_bt = 0;
       analyze_lbd = 0;
       lbd_stamp = make_iarr (n + 1) 0;
@@ -222,10 +246,7 @@ let new_var t =
   Var_heap.insert t.heap v;
   v
 
-(* 0 = true, 1 = false, 2 = unknown *)
-let lit_code t p =
-  let a = A1.unsafe_get t.assigns (p lsr 1) in
-  if a = code_unknown then code_unknown else a lxor (p land 1)
+let lit_code t p = code_of t.assigns p
 
 let decision_level t = Ivec.size t.trail_lim
 
@@ -280,26 +301,31 @@ let decay_clause_activity t =
 
 (* ---------------- assignment ---------------- *)
 
-let enqueue t p reason =
+(* Assign [p] at decision level [lvl]: the hot callers read the level
+   once per propagation fixpoint instead of once per assignment. *)
+let enqueue_at t lvl p reason =
   let v = lit_var p in
   assert (A1.unsafe_get t.assigns v = code_unknown);
   A1.unsafe_set t.assigns v (p land 1);
   (* code_true for a positive literal *)
-  A1.unsafe_set t.level v (decision_level t);
+  A1.unsafe_set t.level v lvl;
   A1.unsafe_set t.reason v reason;
   A1.unsafe_set t.trail t.trail_size p;
   t.trail_size <- t.trail_size + 1
 
+let enqueue t p reason = enqueue_at t (decision_level t) p reason
+
 let cancel_until t lvl =
   if decision_level t > lvl then begin
     let bound = Ivec.get t.trail_lim lvl in
+    let ad = Arena.data t.arena in
     for i = t.trail_size - 1 downto bound do
       let p = A1.unsafe_get t.trail i in
       let v = lit_var p in
       A1.unsafe_set t.phase v (if A1.unsafe_get t.assigns v = code_true then 1 else 0);
       A1.unsafe_set t.assigns v code_unknown;
       let r = A1.unsafe_get t.reason v in
-      if r <> Arena.none && Arena.is_temp t.arena r then
+      if r <> Arena.none && c_temp ad r then
         (* transient XOR reason clauses die with their assignment *)
         Arena.mark_deleted t.arena r;
       A1.unsafe_set t.reason v Arena.none;
@@ -353,8 +379,9 @@ let parity_clause t r ~implied_var ~implied_val =
   push_row_lits t r implied_var 0;
   let n = Ivec.size t.parity_scratch in
   let c = Arena.alloc_blank t.arena ~learnt:false ~temp:true n in
+  let ad = Arena.data t.arena and sd = Ivec.store t.parity_scratch in
   for i = 0 to n - 1 do
-    Arena.set_lit t.arena c i (Ivec.unsafe_get t.parity_scratch i)
+    c_set_lit ad c i (A1.unsafe_get sd i)
   done;
   if t.proof_enabled then log_step t (Proof.Parity (clause_of_ivec t.parity_scratch));
   c
@@ -388,79 +415,94 @@ let rec parity_scan t =
    nothing.  A conflict is signalled through [t.prop_conflict] (int
    field) instead of an exception or option. *)
 
+(* The scan reads three stores fetched once per propagated literal: [wd],
+   the watch list's words (cref, blocker pairs); [ad], the arena's words;
+   and [assigns].  None of them is replaced during a scan: a moved watch
+   goes to another literal's list (never the one scanned: the new watch is
+   not false), and no clause is allocated. *)
+
 (* First position >= [k] in clause [c] holding a non-false literal, or
    -1. *)
-let rec find_watch t c k n =
+let rec find_watch (ad : iarr) (assigns : iarr) c k n =
   if k >= n then -1
-  else if lit_code t (Arena.lit t.arena c k) <> code_false then k
-  else find_watch t c (k + 1) n
+  else if code_of assigns (c_lit ad c k) <> code_false then k
+  else find_watch ad assigns c (k + 1) n
 
 (* After a conflict: keep every unexamined watcher pair, copying
    [i, n_ws) down to write position [j]; returns the final size. *)
-let rec copy_rest ws i j n_ws =
+let rec copy_rest (wd : iarr) i j n_ws =
   if i >= n_ws then j
   else begin
-    Ivec.unsafe_set ws j (Ivec.unsafe_get ws i);
-    Ivec.unsafe_set ws (j + 1) (Ivec.unsafe_get ws (i + 1));
-    copy_rest ws (i + 2) (j + 2) n_ws
+    A1.unsafe_set wd j (A1.unsafe_get wd i);
+    A1.unsafe_set wd (j + 1) (A1.unsafe_get wd (i + 1));
+    copy_rest wd (i + 2) (j + 2) n_ws
   end
 
-(* Scan the watcher pairs of the just-falsified literal: [i] reads, [j]
-   writes back the watchers that stay; returns the compacted size.
-   [false_lit] is the literal that became false.  Sets [t.prop_conflict]
-   and drains the queue on conflict. *)
-let rec scan_watchers t ws false_lit i j n_ws =
-  if i >= n_ws then j
+(* One scan's watcher counters, added to the stats when the scan ends. *)
+let note_scan t visits hits =
+  t.stats.watch_visits <- t.stats.watch_visits + visits;
+  t.stats.blocker_hits <- t.stats.blocker_hits + hits
+
+(* Scan the watcher pairs of the just-falsified literal [false_lit]: [i]
+   reads, [j] writes back the watchers that stay; returns the compacted
+   size.  Implied literals are assigned at level [lvl]; [hits] counts the
+   watchers skipped on a true blocker.  Sets [t.prop_conflict] and drains
+   the queue on conflict. *)
+let rec scan_watchers t (wd : iarr) (ad : iarr) (assigns : iarr) false_lit lvl i j n_ws hits =
+  if i >= n_ws then begin
+    note_scan t (n_ws / 2) hits;
+    j
+  end
   else begin
-    let c = Ivec.unsafe_get ws i in
-    let blocker = Ivec.unsafe_get ws (i + 1) in
-    if lit_code t blocker = code_true then begin
-      Ivec.unsafe_set ws j c;
-      Ivec.unsafe_set ws (j + 1) blocker;
-      scan_watchers t ws false_lit (i + 2) (j + 2) n_ws
+    let c = A1.unsafe_get wd i in
+    let blocker = A1.unsafe_get wd (i + 1) in
+    if code_of assigns blocker = code_true then begin
+      A1.unsafe_set wd j c;
+      A1.unsafe_set wd (j + 1) blocker;
+      scan_watchers t wd ad assigns false_lit lvl (i + 2) (j + 2) n_ws (hits + 1)
     end
-    else if Arena.is_deleted t.arena c then begin
+    else if c_deleted ad c then begin
       (* lazy detach: simply drop the watcher *)
       t.stats.lazy_detach_drops <- t.stats.lazy_detach_drops + 1;
-      scan_watchers t ws false_lit (i + 2) j n_ws
+      scan_watchers t wd ad assigns false_lit lvl (i + 2) j n_ws hits
     end
     else begin
-      let a = t.arena in
       (* normalise: the false watch goes to position 1 *)
-      if Arena.lit a c 0 = false_lit then begin
-        Arena.set_lit a c 0 (Arena.lit a c 1);
-        Arena.set_lit a c 1 false_lit
+      if c_lit ad c 0 = false_lit then begin
+        c_set_lit ad c 0 (c_lit ad c 1);
+        c_set_lit ad c 1 false_lit
       end;
-      let first = Arena.lit a c 0 in
-      if first <> blocker && lit_code t first = code_true then begin
+      let first = c_lit ad c 0 in
+      if first <> blocker && code_of assigns first = code_true then begin
         (* satisfied; keep watching with a better blocker *)
-        Ivec.unsafe_set ws j c;
-        Ivec.unsafe_set ws (j + 1) first;
-        scan_watchers t ws false_lit (i + 2) (j + 2) n_ws
+        A1.unsafe_set wd j c;
+        A1.unsafe_set wd (j + 1) first;
+        scan_watchers t wd ad assigns false_lit lvl (i + 2) (j + 2) n_ws hits
       end
       else begin
         (* look for a new literal to watch *)
-        let k = find_watch t c 2 (Arena.n_lits a c) in
+        let k = find_watch ad assigns c 2 (c_n_lits ad c) in
         if k >= 0 then begin
-          let lk = Arena.lit a c k in
-          Arena.set_lit a c k false_lit;
-          Arena.set_lit a c 1 lk;
+          let lk = c_lit ad c k in
+          c_set_lit ad c k false_lit;
+          c_set_lit ad c 1 lk;
           Ivec.push2 t.watches.(lit_neg lk) c first;
-          scan_watchers t ws false_lit (i + 2) j n_ws
+          scan_watchers t wd ad assigns false_lit lvl (i + 2) j n_ws hits
         end
         else begin
           (* unit or conflicting; keep this watcher *)
-          Ivec.unsafe_set ws j c;
-          Ivec.unsafe_set ws (j + 1) first;
-          if lit_code t first = code_false then begin
+          A1.unsafe_set wd j c;
+          A1.unsafe_set wd (j + 1) first;
+          if code_of assigns first = code_false then begin
             t.prop_conflict <- c;
             t.qhead <- t.trail_size;
+            note_scan t ((i / 2) + 1) hits;
             (* keep the unexamined watchers *)
-            copy_rest ws (i + 2) (j + 2) n_ws
+            copy_rest wd (i + 2) (j + 2) n_ws
           end
           else begin
-            enqueue t first c;
-            scan_watchers t ws false_lit (i + 2) (j + 2) n_ws
+            enqueue_at t lvl first c;
+            scan_watchers t wd ad assigns false_lit lvl (i + 2) (j + 2) n_ws hits
           end
         end
       end
@@ -470,9 +512,12 @@ let rec scan_watchers t ws false_lit i j n_ws =
 (* Two-watched-literal Boolean constraint propagation over the flat arena.
    Returns the conflicting clause's cref, or [Arena.none].  Watchers of
    deleted clauses are dropped here (lazy detach) instead of being scanned
-   out eagerly at deletion time. *)
+   out eagerly at deletion time.  The decision level is fixed for the
+   whole fixpoint; the stores are re-fetched per literal, since the parity
+   scan between two literals allocates reason clauses in the arena. *)
 let propagate t =
   t.prop_conflict <- Arena.none;
+  let lvl = decision_level t in
   while t.prop_conflict = Arena.none && t.qhead < t.trail_size do
     let p = A1.unsafe_get t.trail t.qhead in
     t.qhead <- t.qhead + 1;
@@ -480,7 +525,9 @@ let propagate t =
     (* p became true; clauses registered under p watch a literal that just
        became false.  The watcher pairs are compacted in place. *)
     let ws = Array.unsafe_get t.watches p in
-    Ivec.shrink ws (scan_watchers t ws (lit_neg p) 0 0 (Ivec.size ws));
+    Ivec.shrink ws
+      (scan_watchers t (Ivec.store ws) (Arena.data t.arena) t.assigns (lit_neg p) lvl 0 0
+         (Ivec.size ws) 0);
     if t.prop_conflict = Arena.none && Parity.n_live t.parity > 0 then begin
       Parity.scan_begin t.parity ~v:(lit_var p);
       parity_scan t
@@ -490,6 +537,10 @@ let propagate t =
 
 (* ---------------- conflict analysis (first UIP) ---------------- *)
 
+(* Analysis reads the arena's words [ad] (no clause is allocated until
+   the learnt clause is recorded) and the per-variable stores, taken as
+   arguments like the watcher scan's. *)
+
 (* Recursive learnt-clause minimisation (MiniSat's deep litRedundant): a
    literal is redundant if, walking its implication ancestry, every branch
    terminates in a literal already in the clause (seen) or at level 0.
@@ -497,73 +548,76 @@ let propagate t =
    ([redu_seen]/[redu_val], epoch-invalidated — no per-call hash table);
    a depth cap bounds pathological graphs (failing the cap just keeps the
    literal, which is always sound). *)
-let rec lit_redundant t depth q =
+let rec lit_redundant t (ad : iarr) (reason : iarr) (level : iarr) (seen : iarr) depth q =
   depth <= 64
   &&
-  let r = A1.unsafe_get t.reason (q lsr 1) in
-  r <> Arena.none && redundant_lits t r 0 (Arena.n_lits t.arena r) depth q
+  let r = A1.unsafe_get reason (q lsr 1) in
+  r <> Arena.none && redundant_lits t ad reason level seen r 0 (c_n_lits ad r) depth q
 
-and redundant_lits t r i n depth q =
+and redundant_lits t (ad : iarr) (reason : iarr) (level : iarr) (seen : iarr) r i n depth q =
   i >= n
   ||
-  let l = Arena.lit t.arena r i in
+  let l = c_lit ad r i in
   let v = l lsr 1 in
   (v = q lsr 1
-  || A1.unsafe_get t.level v = 0
-  || A1.unsafe_get t.seen v = 1
+  || A1.unsafe_get level v = 0
+  || A1.unsafe_get seen v = 1
   ||
   if A1.unsafe_get t.redu_seen v = t.redu_epoch then
     A1.unsafe_get t.redu_val v = 1
   else begin
-    let b = lit_redundant t (depth + 1) l in
+    let b = lit_redundant t ad reason level seen (depth + 1) l in
     A1.unsafe_set t.redu_seen v t.redu_epoch;
     A1.unsafe_set t.redu_val v (if b then 1 else 0);
     b
   end)
-  && redundant_lits t r (i + 1) n depth q
+  && redundant_lits t ad reason level seen r (i + 1) n depth q
 
-let literal_redundant t q =
+let literal_redundant t (ad : iarr) q =
   t.redu_epoch <- t.redu_epoch + 1;
-  lit_redundant t 0 q
+  lit_redundant t ad t.reason t.level t.seen 0 q
 
 (* Mark the literals of conflict/reason clause [c] from position [i]:
-   current-level literals count toward the UIP path, lower-level ones go
-   into the learnt scratch.  Returns the updated path count. *)
-let rec analyze_mark t c i n path_count =
+   literals of the current level [lvl] count toward the UIP path,
+   lower-level ones go into the analysis scratch.  Returns the updated
+   path count. *)
+let rec analyze_mark t (ad : iarr) (level : iarr) (seen : iarr) lvl c i n path_count =
   if i >= n then path_count
   else begin
-    let q = Arena.lit t.arena c i in
+    let q = c_lit ad c i in
     let v = q lsr 1 in
-    if A1.unsafe_get t.seen v = 0 && A1.unsafe_get t.level v > 0 then begin
-      A1.unsafe_set t.seen v 1;
-      Ivec.push t.to_clear v;
+    if A1.unsafe_get seen v = 0 && A1.unsafe_get level v > 0 then begin
+      A1.unsafe_set seen v 1;
       bump_var t v;
-      if A1.unsafe_get t.level v >= decision_level t then
-        analyze_mark t c (i + 1) n (path_count + 1)
+      if A1.unsafe_get level v >= lvl then
+        analyze_mark t ad level seen lvl c (i + 1) n (path_count + 1)
       else begin
         Ivec.push t.analyze_scratch q;
-        analyze_mark t c (i + 1) n path_count
+        analyze_mark t ad level seen lvl c (i + 1) n path_count
       end
     end
-    else analyze_mark t c (i + 1) n path_count
+    else analyze_mark t ad level seen lvl c (i + 1) n path_count
   end
 
 (* Most recent trail position at or below [index] whose variable is
    seen. *)
-let rec analyze_find_seen t index =
-  if A1.unsafe_get t.seen (A1.unsafe_get t.trail index lsr 1) = 1 then index
-  else analyze_find_seen t (index - 1)
+let rec analyze_find_seen (seen : iarr) (trail : iarr) index =
+  if A1.unsafe_get seen (A1.unsafe_get trail index lsr 1) = 1 then index
+  else analyze_find_seen seen trail (index - 1)
 
-(* First-UIP resolution walk; returns the asserting (UIP) literal. *)
-let rec analyze_walk t confl p_prev index path_count =
-  if Arena.learnt t.arena confl then bump_clause t confl;
+(* First-UIP resolution walk; returns the asserting (UIP) literal.  Every
+   current-level variable it marks is unmarked again on the way, so at
+   the end the seen variables are exactly those of the analysis
+   scratch. *)
+let rec analyze_walk t (ad : iarr) lvl confl p_prev index path_count =
+  if c_learnt ad confl then bump_clause t confl;
   let start = if p_prev = -1 then 0 else 1 in
   let path_count =
-    analyze_mark t confl start (Arena.n_lits t.arena confl) path_count
+    analyze_mark t ad t.level t.seen lvl confl start (c_n_lits ad confl) path_count
   in
   (* next clause to inspect: walk the trail backwards to the most recent
      seen literal *)
-  let index = analyze_find_seen t index in
+  let index = analyze_find_seen t.seen t.trail index in
   let p = A1.unsafe_get t.trail index in
   A1.unsafe_set t.seen (p lsr 1) 0;
   let path_count = path_count - 1 in
@@ -572,49 +626,52 @@ let rec analyze_walk t confl p_prev index path_count =
     let r = A1.unsafe_get t.reason (p lsr 1) in
     assert (r <> Arena.none);
     (* only the UIP can lack a reason *)
-    analyze_walk t r p (index - 1) path_count
+    analyze_walk t ad lvl r p (index - 1) path_count
   end
 
-(* Append the collected literals to the learnt scratch newest-first
-   (reverse discovery order — the order the list-based analysis
-   produced), filtering redundant ones when minimisation is on. *)
-let rec analyze_filter t i minimise =
+(* Append the collected literals [sd] (the analysis scratch's store) to
+   the learnt scratch newest-first (reverse discovery order — the order
+   the list-based analysis produced), filtering redundant ones when
+   minimisation is on. *)
+let rec analyze_filter t (ad : iarr) (sd : iarr) i minimise =
   if i >= 0 then begin
-    let q = Ivec.unsafe_get t.analyze_scratch i in
-    if (not minimise) || not (literal_redundant t q) then
+    let q = A1.unsafe_get sd i in
+    if (not minimise) || not (literal_redundant t ad q) then
       Ivec.push t.learnt_scratch q;
-    analyze_filter t (i - 1) minimise
+    analyze_filter t ad sd (i - 1) minimise
   end
 
-(* Index of the highest-level literal among learnt positions [i, n); the
-   running best is [best]. *)
-let rec learnt_max_level_idx t i n best =
+(* Index of the highest-level literal among positions [i, n) of the
+   learnt clause [ld]; the running best is [best]. *)
+let rec learnt_max_level_idx (level : iarr) (ld : iarr) i n best =
   if i >= n then best
   else begin
     let better =
-      A1.unsafe_get t.level (Ivec.unsafe_get t.learnt_scratch i lsr 1)
-      > A1.unsafe_get t.level (Ivec.unsafe_get t.learnt_scratch best lsr 1)
+      A1.unsafe_get level (A1.unsafe_get ld i lsr 1)
+      > A1.unsafe_get level (A1.unsafe_get ld best lsr 1)
     in
-    learnt_max_level_idx t (i + 1) n (if better then i else best)
+    learnt_max_level_idx level ld (i + 1) n (if better then i else best)
   end
 
-(* Literal block distance of the learnt scratch: distinct decision levels,
-   counted with the epoch-stamped level array (no sets). *)
-let rec learnt_lbd_count t i n acc =
+(* Literal block distance of the learnt clause [ld]: distinct decision
+   levels, counted by stamping [stamps] (decision level -> epoch) with
+   [stamp] (no sets). *)
+let rec learnt_lbd_count (level : iarr) (stamps : iarr) stamp (ld : iarr) i n acc =
   if i >= n then acc
   else begin
-    let lvl = A1.unsafe_get t.level (Ivec.unsafe_get t.learnt_scratch i lsr 1) in
-    if A1.unsafe_get t.lbd_stamp lvl = t.stamp then learnt_lbd_count t (i + 1) n acc
+    let lvl = A1.unsafe_get level (A1.unsafe_get ld i lsr 1) in
+    if A1.unsafe_get stamps lvl = stamp then learnt_lbd_count level stamps stamp ld (i + 1) n acc
     else begin
-      A1.unsafe_set t.lbd_stamp lvl t.stamp;
-      learnt_lbd_count t (i + 1) n (acc + 1)
+      A1.unsafe_set stamps lvl stamp;
+      learnt_lbd_count level stamps stamp ld (i + 1) n (acc + 1)
     end
   end
 
-let rec clear_seen t i n =
+(* Unmark the variables of literals [i, n) of [sd]. *)
+let rec clear_seen (seen : iarr) (sd : iarr) i n =
   if i < n then begin
-    A1.unsafe_set t.seen (Ivec.unsafe_get t.to_clear i) 0;
-    clear_seen t (i + 1) n
+    A1.unsafe_set seen (A1.unsafe_get sd i lsr 1) 0;
+    clear_seen seen sd (i + 1) n
   end
 
 (* First-UIP conflict analysis.  The learnt clause is left in
@@ -623,26 +680,28 @@ let rec clear_seen t i n =
    instead of a returned tuple, so a conflict allocates nothing. *)
 let analyze t confl =
   Ivec.clear t.analyze_scratch;
-  Ivec.clear t.to_clear;
-  let p = analyze_walk t confl (-1) (t.trail_size - 1) 0 in
+  let ad = Arena.data t.arena in
+  let p = analyze_walk t ad (decision_level t) confl (-1) (t.trail_size - 1) 0 in
   Ivec.clear t.learnt_scratch;
   Ivec.push t.learnt_scratch (lit_neg p);
   (* redundancy filtering consults the still-set seen flags *)
-  analyze_filter t (Ivec.size t.analyze_scratch - 1) t.config.minimise_learnts;
+  let sd = Ivec.store t.analyze_scratch and n_marked = Ivec.size t.analyze_scratch in
+  analyze_filter t ad sd (n_marked - 1) t.config.minimise_learnts;
   let nl = Ivec.size t.learnt_scratch in
+  let ld = Ivec.store t.learnt_scratch in
   (* compute backtrack level: highest level among learnt positions 1.. *)
   t.analyze_bt <-
     (if nl = 1 then 0
      else begin
-       let max_i = learnt_max_level_idx t 2 nl 1 in
-       let tmp = Ivec.unsafe_get t.learnt_scratch 1 in
-       Ivec.unsafe_set t.learnt_scratch 1 (Ivec.unsafe_get t.learnt_scratch max_i);
-       Ivec.unsafe_set t.learnt_scratch max_i tmp;
-       A1.unsafe_get t.level (Ivec.unsafe_get t.learnt_scratch 1 lsr 1)
+       let max_i = learnt_max_level_idx t.level ld 2 nl 1 in
+       let tmp = A1.unsafe_get ld 1 in
+       A1.unsafe_set ld 1 (A1.unsafe_get ld max_i);
+       A1.unsafe_set ld max_i tmp;
+       A1.unsafe_get t.level (A1.unsafe_get ld 1 lsr 1)
      end);
   t.stamp <- t.stamp + 1;
-  t.analyze_lbd <- learnt_lbd_count t 0 nl 0;
-  clear_seen t 0 (Ivec.size t.to_clear)
+  t.analyze_lbd <- learnt_lbd_count t.level t.lbd_stamp t.stamp ld 0 nl 0;
+  clear_seen t.seen sd 0 n_marked
 
 (* ---------------- clause addition ---------------- *)
 
@@ -872,8 +931,9 @@ let record_learnt t lbd =
   if nl = 1 then enqueue t (Ivec.unsafe_get t.learnt_scratch 0) Arena.none
   else begin
     let c = Arena.alloc_blank t.arena ~learnt:true ~temp:false nl in
+    let ad = Arena.data t.arena and ld = Ivec.store t.learnt_scratch in
     for i = 0 to nl - 1 do
-      Arena.set_lit t.arena c i (Ivec.unsafe_get t.learnt_scratch i)
+      c_set_lit ad c i (A1.unsafe_get ld i)
     done;
     Arena.set_lbd t.arena c lbd;
     Ivec.push t.learnts c;
@@ -1159,6 +1219,8 @@ let solve_inner ?conflict_budget ?time_budget_s ?interrupt t =
    [stats] stay cumulative per instance, which is what the driver's
    round accounting diffs). *)
 let m_propagations = Obs.Metrics.counter "sat.propagations"
+let m_watch_visits = Obs.Metrics.counter "sat.watch_visits"
+let m_blocker_hits = Obs.Metrics.counter "sat.blocker_hits"
 let m_conflicts = Obs.Metrics.counter "sat.conflicts"
 let m_restarts = Obs.Metrics.counter "sat.restarts"
 let m_decisions = Obs.Metrics.counter "sat.decisions"
@@ -1170,6 +1232,8 @@ let solve ?conflict_budget ?time_budget_s ?interrupt t =
   Obs.Trace.with_span ~name:"sat.solve" @@ fun () ->
   let s = t.stats in
   let p0 = s.propagations
+  and wv0 = s.watch_visits
+  and bh0 = s.blocker_hits
   and c0 = s.conflicts
   and r0 = s.restarts
   and d0 = s.decisions
@@ -1179,6 +1243,8 @@ let solve ?conflict_budget ?time_budget_s ?interrupt t =
   Fun.protect
     ~finally:(fun () ->
       Obs.Metrics.incr m_propagations ~by:(s.propagations - p0);
+      Obs.Metrics.incr m_watch_visits ~by:(s.watch_visits - wv0);
+      Obs.Metrics.incr m_blocker_hits ~by:(s.blocker_hits - bh0);
       Obs.Metrics.incr m_conflicts ~by:(s.conflicts - c0);
       Obs.Metrics.incr m_restarts ~by:(s.restarts - r0);
       Obs.Metrics.incr m_decisions ~by:(s.decisions - d0);
@@ -1336,7 +1402,6 @@ let clone ?config t =
     prop_conflict = t.prop_conflict;
     analyze_scratch = Ivec.copy t.analyze_scratch;
     learnt_scratch = Ivec.copy t.learnt_scratch;
-    to_clear = Ivec.copy t.to_clear;
     analyze_bt = t.analyze_bt;
     analyze_lbd = t.analyze_lbd;
     lbd_stamp = copy_iarr t.lbd_stamp;

@@ -9,6 +9,8 @@ type stats = {
   mutable conflicts : int;
   mutable decisions : int;
   mutable propagations : int;
+  mutable watch_visits : int;
+  mutable blocker_hits : int;
   mutable restarts : int;
   mutable learnt_clauses : int;
   mutable deleted_clauses : int;
@@ -27,6 +29,8 @@ let fresh_stats () =
     conflicts = 0;
     decisions = 0;
     propagations = 0;
+    watch_visits = 0;
+    blocker_hits = 0;
     restarts = 0;
     learnt_clauses = 0;
     deleted_clauses = 0;
@@ -45,6 +49,8 @@ let copy_stats s =
     conflicts = s.conflicts;
     decisions = s.decisions;
     propagations = s.propagations;
+    watch_visits = s.watch_visits;
+    blocker_hits = s.blocker_hits;
     restarts = s.restarts;
     learnt_clauses = s.learnt_clauses;
     deleted_clauses = s.deleted_clauses;
@@ -60,9 +66,10 @@ let copy_stats s =
 
 let pp_stats ppf s =
   Format.fprintf ppf
-    "conflicts=%d decisions=%d propagations=%d restarts=%d learnt=%d deleted=%d max_level=%d \
-     lazy_drops=%d arena_gcs=%d imported=%d exported=%d parity_props=%d parity_conflicts=%d \
-     gauss_rounds=%d"
-    s.conflicts s.decisions s.propagations s.restarts s.learnt_clauses s.deleted_clauses
-    s.max_decision_level s.lazy_detach_drops s.arena_gcs s.imported_clauses
-    s.exported_clauses s.parity_propagations s.parity_conflicts s.gauss_rounds
+    "conflicts=%d decisions=%d propagations=%d watch_visits=%d blocker_hits=%d restarts=%d \
+     learnt=%d deleted=%d max_level=%d lazy_drops=%d arena_gcs=%d imported=%d exported=%d \
+     parity_props=%d parity_conflicts=%d gauss_rounds=%d"
+    s.conflicts s.decisions s.propagations s.watch_visits s.blocker_hits s.restarts
+    s.learnt_clauses s.deleted_clauses s.max_decision_level s.lazy_detach_drops s.arena_gcs
+    s.imported_clauses s.exported_clauses s.parity_propagations s.parity_conflicts
+    s.gauss_rounds

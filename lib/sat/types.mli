@@ -13,6 +13,10 @@ type stats = {
   mutable conflicts : int;
   mutable decisions : int;
   mutable propagations : int;
+  mutable watch_visits : int;
+      (** watcher pairs examined by clausal propagation *)
+  mutable blocker_hits : int;
+      (** watcher pairs skipped because their blocker literal was true *)
   mutable restarts : int;
   mutable learnt_clauses : int;
   mutable deleted_clauses : int;

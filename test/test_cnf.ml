@@ -36,7 +36,20 @@ let test_lit_eval () =
 let test_clause_normalisation () =
   let c = C.of_list [ L.pos 3; L.pos 1; L.pos 3; L.neg_of 2 ] in
   check_int "dedup" 3 (C.length c);
-  Alcotest.(check (list int)) "vars" [ 1; 2; 3 ] (C.vars c)
+  Alcotest.(check (list int)) "vars" [ 1; 2; 3 ] (C.vars c);
+  (* every list of up to four literals over two variables, in every
+     order and with repeats: ascending and distinct, as sort_uniq *)
+  let pool = [ L.pos 0; L.neg_of 0; L.pos 1; L.neg_of 1 ] in
+  let rec lists n =
+    if n = 0 then [ [] ]
+    else [] :: List.concat_map (fun l -> List.map (fun t -> l :: t) (lists (n - 1))) pool
+  in
+  List.iter
+    (fun lits ->
+      Alcotest.(check (list int)) "sorted and distinct"
+        (List.map L.to_index (List.sort_uniq L.compare lits))
+        (List.map L.to_index (C.to_list (C.of_list lits))))
+    (lists 4)
 
 let test_clause_tautology () =
   check "taut" true (C.is_tautology (C.of_list [ L.pos 1; L.neg_of 1 ]));

@@ -309,8 +309,7 @@ let prop_gauss_audit_certifies =
       in
       let audited = run Bosphorus.Config.Gauss_on true in
       let off = run Bosphorus.Config.Gauss_off false in
-      (* a disconnected multigraph can make a [satisfiable] chain UNSAT,
-         so the oracle is the gauss-off run, which must decide *)
+      (* the oracle is the gauss-off run, which must decide *)
       Audit.Certify.all_certified (Audit.Certify.certify audited)
       && status_kind audited = status_kind off
       && status_kind off <> `Open)

@@ -39,6 +39,22 @@ let test_parity_chain_modes () =
     check "unsat for all graphs" true (is_unsat (solve f))
   done
 
+let test_parity_chain_disconnected_sat () =
+  (* with 6 vertices and seed 3 the multigraph has two components; the
+     satisfiable mode must make each component's charge even, not just
+     the total (the generator used to return an UNSAT formula here) *)
+  let f = G.parity_chain ~vertices:6 ~satisfiable:true ~rng:(Random.State.make [| 3 |]) in
+  check "seed 3 sat by brute force" true (F.brute_force_sat f = Some true);
+  for seed = 0 to 39 do
+    List.iter
+      (fun vertices ->
+        let sat = G.parity_chain ~vertices ~satisfiable:true ~rng:(rng seed) in
+        check "satisfiable mode sat" true (F.brute_force_sat sat = Some true);
+        let unsat = G.parity_chain ~vertices ~satisfiable:false ~rng:(rng seed) in
+        check "unsatisfiable mode unsat" true (F.brute_force_sat unsat = Some false))
+      [ 4; 6; 8 ]
+  done
+
 let test_coloring_triangle () =
   (* a dense-enough random graph with 2 colours contains an odd cycle *)
   let f = G.coloring ~vertices:8 ~edges:16 ~colors:2 ~rng:(rng 4) in
@@ -92,6 +108,8 @@ let suite =
         Alcotest.test_case "underconstrained sat" `Quick test_random_ksat_underconstrained_sat;
         Alcotest.test_case "pigeonhole unsat" `Quick test_pigeonhole_unsat;
         Alcotest.test_case "parity chain modes" `Quick test_parity_chain_modes;
+        Alcotest.test_case "parity chain sat per component" `Quick
+          test_parity_chain_disconnected_sat;
         Alcotest.test_case "coloring" `Quick test_coloring_triangle;
         Alcotest.test_case "miter faithful" `Quick test_miter_faithful_unsat;
         Alcotest.test_case "miter buggy" `Quick test_miter_buggy_mostly_sat;

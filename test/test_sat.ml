@@ -199,7 +199,11 @@ let test_stats_populated () =
   let st = S.stats s in
   check "conflicts counted" true (st.Sat.Types.conflicts > 0);
   check "decisions counted" true (st.Sat.Types.decisions > 0);
-  check "propagations counted" true (st.Sat.Types.propagations > 0)
+  check "propagations counted" true (st.Sat.Types.propagations > 0);
+  check "watcher visits counted" true (st.Sat.Types.watch_visits > 0);
+  check "blocker hits counted" true (st.Sat.Types.blocker_hits > 0);
+  check "blocker hits within visits" true
+    (st.Sat.Types.blocker_hits <= st.Sat.Types.watch_visits)
 
 (* ------------------------------------------------------------------ *)
 (* Native XOR constraints                                              *)
@@ -1042,6 +1046,72 @@ let offheap_suite =
       ] );
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Search-path pins                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Exact search counts of fixed instances.  A change to clause layout,
+   watch-list order, the literal swaps within a clause or the decision
+   heuristic moves them, so such a change fails here rather than only in
+   a benchmark run.  A deliberate change of the search must re-record
+   them. *)
+let check_counts name (st : Sat.Types.stats) ~conflicts ~decisions ~propagations =
+  check_int (name ^ " conflicts") conflicts st.Sat.Types.conflicts;
+  check_int (name ^ " decisions") decisions st.Sat.Types.decisions;
+  check_int (name ^ " propagations") propagations st.Sat.Types.propagations
+
+let test_pin_php7_profiles () =
+  let f = Problems.Generators.pigeonhole ~holes:7 in
+  List.iter
+    (fun (profile, conflicts, decisions, propagations) ->
+      let out = Sat.Profiles.solve profile f in
+      check (Sat.Profiles.name profile ^ " unsat") true (is_unsat out.Sat.Profiles.result);
+      match out.Sat.Profiles.stats with
+      | Some st ->
+          check_counts ("php-7 " ^ Sat.Profiles.name profile) st ~conflicts ~decisions
+            ~propagations
+      | None -> Alcotest.fail "profile reported no stats")
+    [
+      (Sat.Profiles.Minisat, 4824, 5912, 68204);
+      (Sat.Profiles.Lingeling, 4275, 4913, 43477);
+      (Sat.Profiles.Cms5, 8854, 10527, 125360);
+    ];
+  check_int "every profile pinned" 3 (List.length Sat.Profiles.all)
+
+let test_pin_random_ksat () =
+  let f =
+    Problems.Generators.random_ksat ~nvars:150 ~n_clauses:639 ~k:3
+      ~rng:(Random.State.make [| 11 |])
+  in
+  let s = S.create ~nvars:(Cnf.Formula.nvars f) () in
+  check "formula ok" true (S.add_formula s f);
+  check "sat" true (is_sat (S.solve s));
+  check_counts "ksat" (S.stats s) ~conflicts:1148 ~decisions:1388 ~propagations:36162
+
+let test_pin_parity_gauss () =
+  let f, xors =
+    Problems.Generators.parity_chain_xors ~vertices:400 ~satisfiable:true
+      ~rng:(Random.State.make [| 3 |])
+  in
+  let s = S.create ~nvars:(Cnf.Formula.nvars f) () in
+  check "formula ok" true (S.add_formula s f);
+  List.iter (fun (vars, parity) -> ignore (S.add_xor s ~vars ~parity)) xors;
+  check "sat" true (is_sat (S.solve s));
+  let st = S.stats s in
+  check_counts "parity" st ~conflicts:106 ~decisions:591 ~propagations:2435;
+  check_int "parity propagations" 406 st.Sat.Types.parity_propagations;
+  check_int "parity conflicts" 98 st.Sat.Types.parity_conflicts
+
+let pin_suite =
+  [
+    ( "sat.search_path",
+      [
+        Alcotest.test_case "php-7 under every profile" `Quick test_pin_php7_profiles;
+        Alcotest.test_case "seeded random 3-SAT" `Quick test_pin_random_ksat;
+        Alcotest.test_case "gauss-on parity chain" `Quick test_pin_parity_gauss;
+      ] );
+  ]
+
 let suite =
-  main_suite @ probe_suite @ enumerate_suite @ proof_suite @ concurrency_suite
+  main_suite @ pin_suite @ probe_suite @ enumerate_suite @ proof_suite @ concurrency_suite
   @ arena_suite @ offheap_suite
