@@ -99,13 +99,12 @@ let fig2 () =
 (* E5-E8: Table II — PAR-2 with and without Bosphorus, three solvers    *)
 (* ------------------------------------------------------------------ *)
 
-let table2 ?(quick = false) ?family_filter ?(jobs = 1) ?json () =
+let table2 ?(quick = false) ?family_filter ?json () =
   header
     (Printf.sprintf
        "Table II: PAR-2 (seconds; lower is better) and solved counts; timeout %.0fs, \
-        conflict budget %d, jobs %d"
-       Runners.nominal_timeout_s Runners.final_conflict_budget jobs);
-  let pool = Runtime.Pool.get ~jobs in
+        conflict budget %d"
+       Runners.nominal_timeout_s Runners.final_conflict_budget);
   let families = Families.table2_families ~quick in
   let families =
     match family_filter with
@@ -128,14 +127,11 @@ let table2 ?(quick = false) ?family_filter ?(jobs = 1) ?json () =
   List.iter
     (fun family ->
       let n = List.length family.Families.instances in
-      (* one batch task per instance: the without-Bosphorus solves, the
-         (shared) preprocessing run, and the with-Bosphorus solves.  Each
-         solver instance lives entirely inside its task's domain, so the
-         pool runs whole instances in parallel; timing is collected
-         centrally (wall + process CPU) rather than inside workers. *)
-      let per_instance, fam_wall, fam_cpu =
-        Harness.Timing.time_cpu (fun () ->
-            Runtime.Pool.map_list pool
+      (* per instance, one after another: the without-Bosphorus solves,
+         the (shared) preprocessing run, and the with-Bosphorus solves *)
+      let per_instance, fam_wall =
+        Harness.Timing.time (fun () ->
+            List.map
               (fun inst ->
                 let wo =
                   List.map
@@ -192,10 +188,7 @@ let table2 ?(quick = false) ?family_filter ?(jobs = 1) ?json () =
                        0 reports) ) ]
           in
           Json_out.add j ~experiment:"table2" ~family:family.Families.label ~wall_s:fam_wall
-            ~facts ~extras ~jobs ());
-      if jobs > 1 then
-        Format.printf "  [%s: wall %.2fs, process CPU %.2fs across %d jobs]@."
-          family.Families.label fam_wall fam_cpu jobs;
+            ~facts ~extras ~jobs:1 ());
       let cells runs =
         List.map (Harness.Par2.cell ~timeout_s:Runners.nominal_timeout_s) runs
       in

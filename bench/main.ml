@@ -5,7 +5,7 @@
      dune exec bench/main.exe                 run everything
      dune exec bench/main.exe -- table2       one experiment
      dune exec bench/main.exe -- table2 --family simon --quick
-     dune exec bench/main.exe -- micro --quick --jobs 4 --json BENCH.json
+     dune exec bench/main.exe -- micro --quick --json BENCH.json
    Experiments: table1 example fig2 table2 ablation encoding-sweep
    representations incremental service gauss micro *)
 
@@ -15,7 +15,7 @@ let usage () =
   print_endline
     "usage: main.exe \
      [table1|example|fig2|table2|ablation|encoding-sweep|representations|incremental|service|gauss|micro]*\n\
-    \       [--quick] [--family aes|simon|speck|bitcoin|sat] [--jobs N] [--json FILE]\n\
+    \       [--quick] [--family aes|simon|speck|bitcoin|sat] [--json FILE]\n\
     \       [--trace FILE] [--metrics FILE] [--alloc-gate] [--portfolio]\n\
      --alloc-gate: with micro, run only the GC-regression gate (exits 1 on \
      regression)\n\
@@ -37,16 +37,6 @@ let () =
     find args
   in
   let family_filter = find_opt_arg "--family" in
-  let jobs =
-    match find_opt_arg "--jobs" with
-    | None -> 1
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some n when n >= 1 -> n
-        | Some _ | None ->
-            Printf.eprintf "--jobs expects a positive integer, got %S\n" s;
-            usage ())
-  in
   let json_path = find_opt_arg "--json" in
   let json = Option.map (fun _ -> Json_out.create ()) json_path in
   let trace_path = find_opt_arg "--trace" in
@@ -75,7 +65,7 @@ let () =
         i > 0
         && List.mem
              (List.nth args (i - 1))
-             [ "--family"; "--jobs"; "--json"; "--trace"; "--metrics" ])
+             [ "--family"; "--json"; "--trace"; "--metrics" ])
       args
   in
   let selected =
@@ -95,20 +85,20 @@ let () =
             | "table1" -> Experiments.table1 ()
             | "example" -> Experiments.example ()
             | "fig2" -> Experiments.fig2 ()
-            | "table2" -> Experiments.table2 ~quick ?family_filter ~jobs ?json ()
+            | "table2" -> Experiments.table2 ~quick ?family_filter ?json ()
             | "ablation" -> Experiments.ablation ()
             | "encoding-sweep" -> Experiments.encoding_sweep ()
             | "representations" -> Experiments.representations ()
             | "incremental" -> Experiments.incremental ~quick ?json ()
             | "service" -> Experiments.service ~quick ?json ()
             | "gauss" -> Experiments.gauss ~quick ?json ()
-            | "micro" -> Micro.run ~quick ~jobs ~alloc_gate ~portfolio ?json ()
+            | "micro" -> Micro.run ~quick ~alloc_gate ~portfolio ?json ()
             | other ->
                 Printf.eprintf "unknown experiment %S\n" other;
                 usage ())
           selected)
   in
-  Printf.printf "\ntotal: wall %.2fs, process CPU %.2fs (jobs=%d)\n" wall_s cpu_s jobs;
+  Printf.printf "\ntotal: wall %.2fs, process CPU %.2fs\n" wall_s cpu_s;
   (match (json, json_path) with
   | Some j, Some path ->
       let metrics =

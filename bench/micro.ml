@@ -69,11 +69,7 @@ let xl_pass =
     (Staged.stage (fun () ->
          Bosphorus.Xl.run ~config:Bosphorus.Config.default ~rng:(Random.State.make [| 1 |]) eqs))
 
-(* ------------------------------------------------------------------ *)
-(* Parallel kernels: domain-pool speedup of M4RM elimination, the one  *)
-(* parallel kernel, measured jobs=1 vs jobs=N with an equality check.  *)
-(* ------------------------------------------------------------------ *)
-
+(* Best wall time of [reps] runs, with the last run's result. *)
 let best_of ~reps f =
   let best = ref infinity in
   let result = ref None in
@@ -83,59 +79,6 @@ let best_of ~reps f =
     result := Some x
   done;
   (Option.get !result, !best)
-
-let parallel_kernels ~quick ~jobs ?json () =
-  Format.printf "@.=== Parallel kernels (domain pool, jobs=1 vs jobs=%d) ===@.@." jobs;
-  let reps = if quick then 3 else 5 in
-  let record family wall rank =
-    match json with
-    | None -> ()
-    | Some j -> Json_out.add j ~experiment:"micro" ~family ~wall_s:wall ~rank ~jobs:1 ()
-  in
-  (* jobs=N records carry the granularity decision the kernel actually
-     took ([chosen_parallel] = 1 when it dispatched on the pool, 0 when
-     its work-size cutoff kept it inline) *)
-  let record_j ~extras family wall rank =
-    match json with
-    | None -> ()
-    | Some j -> Json_out.add j ~experiment:"micro" ~family ~wall_s:wall ~rank ~extras ~jobs ()
-  in
-  let mode_extras chosen = [ ("chosen_parallel", if chosen then 1.0 else 0.0) ] in
-  let mode_label chosen = if chosen then "pool" else "inline" in
-  let rows = ref [] in
-  (* M4RM panel update: the full size is past the dispatch cutoff, so
-     jobs=N really runs on the pool (the quick size stays inline) *)
-  let n = if quick then 512 else 4096 in
-  let m = random_matrix n in
-  let (rank1, m1), w1 =
-    best_of ~reps (fun () ->
-        let c = Gf2.Matrix.copy m in
-        (Gf2.Matrix.rref_m4rm ~jobs:1 c, c))
-  in
-  let (rankn, mn), wn =
-    best_of ~reps (fun () ->
-        let c = Gf2.Matrix.copy m in
-        (Gf2.Matrix.rref_m4rm ~jobs c, c))
-  in
-  let identical =
-    rank1 = rankn
-    && List.for_all
-         (fun i -> Gf2.Bitvec.equal (Gf2.Matrix.row m1 i) (Gf2.Matrix.row mn i))
-         (List.init n Fun.id)
-  in
-  if not identical then failwith "micro: parallel M4RM diverged from sequential";
-  let name = Printf.sprintf "m4rm_%d" n in
-  let m4rm_mode = Gf2.Matrix.m4rm_parallel_worthwhile ~rows:n ~cols:n ~jobs () in
-  record (name ^ "_jobs1") w1 rank1;
-  record_j ~extras:(mode_extras m4rm_mode) (Printf.sprintf "%s_jobs%d" name jobs) wn rankn;
-  rows := [ name; Printf.sprintf "%.4f" w1; Printf.sprintf "%.4f" wn;
-            Printf.sprintf "%.2fx" (w1 /. wn); mode_label m4rm_mode; "bit-identical" ] :: !rows;
-  Format.printf "%s@."
-    (Harness.Table.render
-       ~title:(Printf.sprintf "parallel kernels (best of %d, %d host domains)" reps
-                 (Domain.recommended_domain_count ()))
-       ~headers:[ "kernel"; "jobs=1 (s)"; Printf.sprintf "jobs=%d (s)" jobs; "speedup"; "mode"; "equality" ]
-       (List.rev !rows))
 
 (* ------------------------------------------------------------------ *)
 (* BCP throughput: propagations/sec of the arena solver over the       *)
@@ -626,7 +569,7 @@ let dimacs_load ~quick ?json () =
          [ "parse_file"; Printf.sprintf "%.4f" file_wall;
            Printf.sprintf "%.1f" (mbps file_wall) ] ])
 
-let run_full ~quick ~jobs ?json () =
+let run_full ~quick ?json () =
   Format.printf "@.=== Micro-benchmarks (Bechamel, monotonic clock) ===@.@.";
   let tests = [ bitvec_xor; matrix_rref; matrix_rref_m4rm; zdd_product; poly_mul; espresso; cdcl_php; xl_pass ] in
   let ols =
@@ -657,13 +600,12 @@ let run_full ~quick ~jobs ?json () =
     (Harness.Table.render ~title:"kernel timings" ~headers:[ "kernel"; "ns/run"; "r²" ] rows);
   bcp_throughput ~quick ?json ();
   dimacs_load ~quick ?json ();
-  parallel_kernels ~quick ~jobs:(max 2 jobs) ?json ();
   portfolio_race ~quick ?json ()
 
 (* [--alloc-gate] runs only the GC-regression gate and [--portfolio]
    only the portfolio race (both fast enough for a CI step); otherwise
    the full micro suite. *)
-let run ?(quick = false) ?(jobs = 1) ?(alloc_gate = false) ?(portfolio = false) ?json () =
+let run ?(quick = false) ?(alloc_gate = false) ?(portfolio = false) ?json () =
   if alloc_gate then run_alloc_gate ?json ()
   else if portfolio then portfolio_race ~quick ?json ()
-  else run_full ~quick ~jobs ?json ()
+  else run_full ~quick ?json ()

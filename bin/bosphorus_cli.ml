@@ -356,7 +356,7 @@ let status_exit_codes_arg =
                  or 0 (PROCESSED) so scripts can distinguish outcomes; off by \
                  default, where any completed run exits 0.")
 
-(* -j and --portfolio are refused above [Runtime.Pool.max_width] while the
+(* --portfolio is refused above [Runtime.Pool.max_width] while the
    command line is parsed, before any domain starts: wider requests could
    ask the runtime for more domains than it can spawn. *)
 let width_conv =
@@ -382,15 +382,6 @@ let config_term =
   let c0 = Arg.(value & opt int default.sat_budget_start & info [ "C" ] ~doc:"Initial SAT conflict budget.") in
   let iters = Arg.(value & opt int default.max_iterations & info [ "max-iterations" ] ~doc:"Learning loop bound.") in
   let seed = Arg.(value & opt int default.seed & info [ "seed" ] ~doc:"Subsampling RNG seed.") in
-  let jobs =
-    Arg.(value & opt width_conv default.jobs
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Domain-pool width for the GF(2) elimination's trailing \
-                   row update, the one parallel kernel.  1 runs \
-                   sequentially; 0 picks the machine's recommended domain \
-                   count; at most 64.  Results are identical for every \
-                   value.")
-  in
   let timeout =
     Arg.(value & opt (some float) None
          & info [ "timeout" ] ~docv:"SECS"
@@ -437,7 +428,7 @@ let config_term =
                    $(b,on) or $(b,off).  Under --audit the clauses the \
                    engine derives are certified as parity steps.")
   in
-  let build m dm d k l l' c0 iters seed jobs timeout_s max_memory_monomials
+  let build m dm d k l l' c0 iters seed timeout_s max_memory_monomials
       max_total_conflicts portfolio gauss =
     {
       default with
@@ -450,7 +441,6 @@ let config_term =
       sat_budget_start = c0;
       max_iterations = iters;
       seed;
-      jobs = (if jobs <= 0 then Runtime.Pool.default_jobs () else jobs);
       timeout_s;
       max_memory_monomials;
       max_total_conflicts;
@@ -459,7 +449,7 @@ let config_term =
     }
   in
   Term.(
-    const build $ m $ dm $ d $ k $ l $ l' $ c0 $ iters $ seed $ jobs $ timeout
+    const build $ m $ dm $ d $ k $ l $ l' $ c0 $ iters $ seed $ timeout
     $ max_mem $ max_conf $ portfolio $ gauss)
 
 let cmd =

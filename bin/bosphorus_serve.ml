@@ -5,7 +5,7 @@
    jobs and unlink the socket. *)
 
 let run_serve socket workers per_timeout per_memory per_conflicts cache_capacity
-    max_frame jobs seed portfolio metrics_path =
+    max_frame seed portfolio metrics_path =
   (* Block termination signals before any daemon thread exists so every
      thread inherits the mask; a dedicated thread below receives them
      synchronously (an async Signal_handle would sit pending forever
@@ -20,7 +20,6 @@ let run_serve socket workers per_timeout per_memory per_conflicts cache_capacity
   let base_config =
     {
       Bosphorus.Config.default with
-      jobs = (if jobs <= 0 then Runtime.Pool.default_jobs () else jobs);
       seed;
       portfolio = Int.max 1 portfolio;
     }
@@ -105,7 +104,7 @@ let max_frame_arg =
            ~doc:"Largest accepted request frame; bigger frames get a \
                  structured oversized error.")
 
-(* --workers, -j and --portfolio are refused above [Runtime.Pool.max_width]
+(* --workers and --portfolio are refused above [Runtime.Pool.max_width]
    while the command line is parsed, before any domain starts: wider
    requests could ask the runtime for more domains than it can spawn.  The
    combination is checked against the runtime's limit before the daemon
@@ -126,14 +125,8 @@ let workers_arg =
   Arg.(value & opt width_conv 2
        & info [ "workers" ] ~docv:"N"
            ~doc:"Worker domains executing solve jobs (at most 64).  A daemon \
-                 runs N x K + J domains for portfolio width K and -j J, and \
-                 refuses to start above the runtime's limit of 128.")
-
-let jobs_arg =
-  Arg.(value & opt width_conv Bosphorus.Config.default.Bosphorus.Config.jobs
-       & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Domain-pool width for each solve's GF(2) elimination \
-                 (0 picks the machine's recommended count; at most 64).")
+                 runs N x K + 1 domains for portfolio width K, and refuses \
+                 to start above the runtime's limit of 128.")
 
 let seed_arg =
   Arg.(value & opt int Bosphorus.Config.default.Bosphorus.Config.seed
@@ -157,7 +150,7 @@ let cmd =
     Term.(
       const run_serve $ socket_arg $ workers_arg $ per_timeout_arg
       $ per_memory_arg $ per_conflicts_arg $ cache_arg $ max_frame_arg
-      $ jobs_arg $ seed_arg $ portfolio_arg $ metrics_arg)
+      $ seed_arg $ portfolio_arg $ metrics_arg)
   in
   Cmd.v (Cmd.info "bosphorus-serve" ~doc) Term.(term_result term)
 

@@ -52,13 +52,10 @@ type t = {
           [portfolio] is ignored.  Off by default: proof logging retains
           every derived clause. *)
   jobs : int;
-      (** domain-pool width for the one parallel kernel: the trailing
-          panel update of M4RM elimination ({!Gf2.Matrix.rref_m4rm}, used
-          by XL, ElimLin and linear compression) fans out over [jobs]
-          domains of the shared {!Runtime.Pool} once a matrix is large
-          enough.  1 (the default) runs everything sequentially on the
-          calling domain.  Results are identical for every value — see
-          DESIGN.md, "Parallel runtime". *)
+      (** ignored: nothing reads it.  It is kept only because the
+          benchmark's own config record ([perfbench/main.ml]) names it;
+          it goes when that file next changes.  Every elimination runs
+          on the calling domain — see DESIGN.md, "Parallel runtime". *)
   incremental_sat : bool;
       (** keep the SAT stage's state — one ANF-to-CNF conversion state
           and one solver — alive across loop iterations: each round

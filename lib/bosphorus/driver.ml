@@ -263,7 +263,7 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
     S.iter master (fun id p -> if P.is_linear p then linear := (id, p) :: !linear);
     let polys = List.map snd !linear in
     if List.length polys > nvars_of polys + 8 then begin
-      let basis = (Linearize.reduce ~jobs:config.Config.jobs polys).Linearize.rows in
+      let basis = (Linearize.reduce polys).Linearize.rows in
       List.iter (fun (id, _) -> S.remove master id) !linear;
       List.iter (fun p -> ignore (S.add master p)) basis;
       propagate_and_record ()

@@ -7,9 +7,9 @@ let m_substitutions = Obs.Metrics.counter "elimlin.substitutions"
 let m_facts = Obs.Metrics.counter "elimlin.facts"
 let m_rounds = Obs.Metrics.counter "elimlin.rounds"
 
-let gje ?(jobs = 1) ?(poll = fun () -> ()) polys =
+let gje ?(poll = fun () -> ()) polys =
   Obs.Trace.with_span ~name:"elimlin.gje" @@ fun () ->
-  (Linearize.reduce ~jobs ~poll polys).Linearize.rows
+  (Linearize.reduce ~poll polys).Linearize.rows
 
 (* The substitutions x_i := by_i of one round, applied to linear equations.
    Each [by_i] mentions only variables substituted after x_i, so a linear
@@ -61,7 +61,7 @@ exception Out_of_time
    driver's global {!Harness.Budget}: a trip behaves exactly like the
    deadline — the pass stops and returns the facts found so far, each of
    which is already a sound consequence of the input. *)
-let eliminate ?deadline ?budget ?(jobs = 1) polys =
+let eliminate ?deadline ?budget polys =
   let facts = ref [] in
   let rounds = ref 0 in
   let past_deadline () =
@@ -81,7 +81,7 @@ let eliminate ?deadline ?budget ?(jobs = 1) polys =
          in the whole loop; a full check per column block (a clock read
          against ~1ms of row updates) bounds trip-detection latency on
          dense systems where the amortized window would be too coarse *)
-      let reduced = gje ~jobs ~poll:check_budget polys in
+      let reduced = gje ~poll:check_budget polys in
       let linear, nonlinear = List.partition P.is_linear reduced in
       let linear = List.filter (fun p -> not (P.is_zero p)) linear in
       if linear = [] then reduced
@@ -145,9 +145,9 @@ let report_of facts rounds final =
   Obs.Metrics.incr m_rounds ~by:rounds;
   { facts; rounds; final_size = List.length final }
 
-let run_full ?(jobs = 1) polys =
+let run_full polys =
   Obs.Trace.with_span ~name:"elimlin.run" @@ fun () ->
-  let facts, rounds, final = eliminate ~jobs polys in
+  let facts, rounds, final = eliminate polys in
   report_of facts rounds final
 
 let run ~config ~rng ?budget polys =
@@ -157,5 +157,5 @@ let run ~config ~rng ?budget polys =
   (* like XL, ElimLin runs on a ~2^M-cell subsample (Section II-C) *)
   let sample = Xl.subsample ~rng ~cell_budget polys in
   let deadline = Unix.gettimeofday () +. config.stage_time_s in
-  let facts, rounds, final = eliminate ~deadline ?budget ~jobs:config.jobs sample in
+  let facts, rounds, final = eliminate ~deadline ?budget sample in
   report_of facts rounds final

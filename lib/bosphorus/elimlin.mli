@@ -43,8 +43,6 @@ val run :
   Anf.Poly.t list ->
   report
 
-(** [run_full ?jobs polys] applies ElimLin to the entire system (used by
-    tests and the worked-example reproduction).  [jobs] (default 1) is the
-    domain-pool width for the inner GJE; the result is identical for every
-    value. *)
-val run_full : ?jobs:int -> Anf.Poly.t list -> report
+(** [run_full polys] applies ElimLin to the entire system (used by
+    tests and the worked-example reproduction). *)
+val run_full : Anf.Poly.t list -> report

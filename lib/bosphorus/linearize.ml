@@ -73,8 +73,8 @@ let poly_of_row t row =
 
 type reduced = { n_columns : int; rank : int; rows : Anf.Poly.t list }
 
-let reduce_built ~jobs ?poll ~keep (t, matrix) =
-  let rank = Gf2.Matrix.rref_m4rm ~jobs ?poll matrix in
+let reduce_built ?poll ~keep (t, matrix) =
+  let rank = Gf2.Matrix.rref_m4rm ?poll matrix in
   let keep = keep t in
   (* the nonzero rows of a reduced row echelon form are its first [rank] *)
   let rows = ref [] in
@@ -84,11 +84,11 @@ let reduce_built ~jobs ?poll ~keep (t, matrix) =
   done;
   { n_columns = n_columns t; rank; rows = !rows }
 
-let reduce_ids ?(jobs = 1) ?poll ?(keep = fun _ _ -> true) ids rows n =
-  reduce_built ~jobs ?poll ~keep (build_ids ids rows n)
+let reduce_ids ?poll ?(keep = fun _ _ -> true) ids rows n =
+  reduce_built ?poll ~keep (build_ids ids rows n)
 
-let reduce ?(jobs = 1) ?poll ?(keep = fun _ _ -> true) polys =
-  reduce_built ~jobs ?poll ~keep (build polys)
+let reduce ?poll ?(keep = fun _ _ -> true) polys =
+  reduce_built ?poll ~keep (build polys)
 
 let cells polys =
   let ids, rows = intern_polys polys in

@@ -32,25 +32,23 @@ type reduced = {
   rows : Anf.Poly.t list;  (** the kept nonzero reduced rows, top to bottom *)
 }
 
-(** [reduce ?jobs ?poll ?keep polys] linearises [polys] ({!build}),
+(** [reduce ?poll ?keep polys] linearises [polys] ({!build}),
     reduces the matrix to reduced row echelon form with
-    {!Gf2.Matrix.rref_m4rm} (passing [jobs] and [poll] through), and
+    {!Gf2.Matrix.rref_m4rm} (passing [poll] through), and
     converts back to polynomials the nonzero rows that [keep t] accepts
     (default: all of them).  [keep] sees the column basis first, so it can
     precompute where the column groups it cares about start, and is then
     asked once per row; rows it rejects are never converted.  A raising
     [poll] aborts the whole call. *)
 val reduce :
-  ?jobs:int ->
   ?poll:(unit -> unit) ->
   ?keep:(t -> Gf2.Bitvec.t -> bool) ->
   Anf.Poly.t list ->
   reduced
 
-(** [reduce_ids ?jobs ?poll ?keep ids rows n] is {!reduce} on rows given
+(** [reduce_ids ?poll ?keep ids rows n] is {!reduce} on rows given
     as in {!build_ids}. *)
 val reduce_ids :
-  ?jobs:int ->
   ?poll:(unit -> unit) ->
   ?keep:(t -> Gf2.Bitvec.t -> bool) ->
   Anf.Monomial.Ids.t ->

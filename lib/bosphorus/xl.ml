@@ -250,7 +250,7 @@ let run_impl ~config ~rng ?budget polys =
       match
         Obs.Trace.with_span ~name:"xl.linearize_reduce" (fun () ->
             let r =
-              Linearize.reduce_ids ~jobs:config.jobs ~poll ~keep:fact_shaped ids
+              Linearize.reduce_ids ~poll ~keep:fact_shaped ids
                 (Anf.Intern.store rows.Rows.tbl) nrows
             in
             (r, retain_facts r.Linearize.rows))

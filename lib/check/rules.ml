@@ -37,8 +37,9 @@ type ctx = {
   (* module-local hot binding paths, e.g. "propagate" for
      Sat.Solver.propagate when analyzing Sat__Solver *)
   hot_bindings : (string, unit) Hashtbl.t;
-  (* Ident.unique_name -> bound expression, for resolving `Pool.map_list
-     pool row_of xs` where row_of is a locally-defined function *)
+  (* Ident.unique_name -> bound expression, for resolving
+     `Pool.run_pinned (List.init k run_worker)` where run_worker is a
+     locally-defined function *)
   bindings : (string, expression) Hashtbl.t;
   mutable findings : Finding.t list;
   mutable attr_waivers : (string * string) list;  (* (rule-id, reason) *)
@@ -127,17 +128,7 @@ let with_attrs ctx attrs f =
 
 let path_name p = norm_modname (Path.name p)
 
-let pool_submit_fns =
-  [
-    "Runtime.Pool.run";
-    "Runtime.Pool.submit";
-    "Runtime.Pool.map_list";
-    "Runtime.Pool.parallel_for";
-    "Pool.run";
-    "Pool.submit";
-    "Pool.map_list";
-    "Pool.parallel_for";
-  ]
+let pool_submit_fns = [ "Runtime.Pool.run_pinned"; "Pool.run_pinned" ]
 
 let is_pool_submit name = List.mem name pool_submit_fns
 

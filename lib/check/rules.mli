@@ -3,12 +3,12 @@
     [analyze] walks a [.cmt] implementation structure and returns the
     findings (waived and unwaived, deduplicated and sorted) for:
 
-    - {b domain-capture}: closures handed to [Runtime.Pool]
-      ([run]/[map_list]/[parallel_for]) must not
-      capture non-atomic mutable state — refs, hash tables, [Buffer.t],
-      [Queue.t], [Stack.t], manifest-declared [[mutable]] types — nor
-      write captured arrays/bytes or mutable record fields.  Locally
-      defined functions passed by name are resolved one level deep.
+    - {b domain-capture}: closures handed to [Runtime.Pool.run_pinned]
+      must not capture non-atomic mutable state — refs, hash tables,
+      [Buffer.t], [Queue.t], [Stack.t], manifest-declared [[mutable]]
+      types — nor write captured arrays/bytes or mutable record fields.
+      Locally defined functions passed by name are resolved one level
+      deep.
     - {b lazy-in-parallel}: no [lazy]/[Lazy.force] inside a pool-task
       closure, nor anywhere in a module listed under [[parallel]].
     - {b hotpath-alloc}: bindings named under [[hotpaths]] are scanned for

@@ -50,7 +50,7 @@ val blit : src:t -> dst:t -> unit
 val xor_into : src:t -> dst:t -> unit
 
 (** [words_for n] is the number of backing words a vector of [n] bits
-    occupies — the work unit of the M4RM parallel cutoff. *)
+    occupies. *)
 val words_for : int -> int
 
 (** [is_zero v] is [true] iff every bit is 0. *)

@@ -175,8 +175,9 @@ let in_row_space m v =
 
 (* Self-checking hook of the audit layer (see lib/audit): when the
    environment opts in, every elimination verifies its own output.  Read
-   eagerly, not lazily: eliminations run concurrently under the domain
-   pool, and Lazy.force from several domains races (Lazy.RacyLazy). *)
+   eagerly, not lazily: eliminations run concurrently on daemon workers
+   and portfolio seats, and Lazy.force from several domains races
+   (Lazy.RacyLazy). *)
 let audit_hooks =
   match Sys.getenv_opt "BOSPHORUS_AUDIT" with
   | Some ("1" | "true" | "yes") -> true
@@ -212,24 +213,6 @@ let rref m =
   done;
   audit_rref_result "Matrix.rref" m;
   !pivot_row
-
-(* ---------------- M4RM parallel cutoff ---------------- *)
-
-(* Work units of one trailing-update pass: every row reads [k] pivot bits
-   and XORs up to a full row of words. *)
-let m4rm_ops ~rows ~cols ~k = rows * (Bitvec.words_for cols + k)
-
-(* Smallest trailing update worth dispatching.  On 2 domains a pass saves
-   half its sequential time, and that must beat 4x a ~20 us pool
-   round-trip (queue, wake-up, joins): 160 us of sequential work.  One
-   row-word XOR measured 1.74 ns on a 2-vCPU Intel Xeon host, so the
-   cutoff is about 10^5 row-words. *)
-let m4rm_parallel_cutoff = 100_000
-
-let m4rm_parallel_worthwhile ?(k = 6) ~rows ~cols ~jobs () =
-  jobs > 1
-  && Int.min jobs (Domain.recommended_domain_count ()) > 1
-  && m4rm_ops ~rows ~cols ~k >= m4rm_parallel_cutoff
 
 (* Words per cache panel of the blocked trailing update: the 2^k-row
    lookup table slice plus one row slice should stay resident, so target
@@ -312,22 +295,9 @@ let max_window = Sys.int_size - 1
    The trailing update (phase C) visits only the rows with a nonzero
    table index and is cache-blocked: the XORs sweep panel-of-words by
    panel-of-words so the lookup table slice stays hot instead of being
-   evicted between rows.  With [jobs > 1] those rows are partitioned
-   across the domain pool — unless the update is below
-   [m4rm_parallel_cutoff] or the host has one domain, in which case it
-   runs inline (jobs is ignored).  Pivot selection and table
-   construction stay sequential, and the per-row updates are pure
-   functions of the read-only table, so the resulting RREF is
-   bit-identical to the sequential one whatever [jobs] is. *)
-let rref_m4rm ?(k = 6) ?(jobs = 1) ?(poll = fun () -> ()) m =
+   evicted between rows. *)
+let rref_m4rm ?(k = 6) ?(poll = fun () -> ()) m =
   if k < 1 || k > 20 then invalid_arg "Matrix.rref_m4rm: k in 1..20";
-  (* the pool is only obtained (and its domains only spawned) once the
-     update is known to be big enough to dispatch *)
-  let pool =
-    if m4rm_parallel_worthwhile ~k ~rows:m.nrows ~cols:m.ncols ~jobs ()
-    then Runtime.Pool.get ~jobs
-    else Runtime.Pool.get ~jobs:1
-  in
   let n = Int.max 1 m.nrows in
   let pivot_row = ref 0 in
   let col = ref 0 in
@@ -450,21 +420,17 @@ let rref_m4rm ?(k = 6) ?(jobs = 1) ?(poll = fun () -> ()) m =
          XOR each, panel-of-words by panel-of-words across the rows so
          the table slice in use stays resident.  XOR is word-local, so
          sweeping panels left-to-right produces the same words as one
-         full-row pass.  Each task touches only the rows of its own
-         range of [hits]; the table is read-only here. *)
+         full-row pass. *)
       let panel = panel_words ~b in
       let table = !table and store = m.store in
-      let update_rows lo hi =
-        let w = ref 0 in
-        while !w < stride do
-          let hi_w = Int.min stride (!w + panel) in
-          for h = lo to hi - 1 do
-            xor_words table (hit_idx.(h) * stride) store (hits.(h) * stride) !w hi_w
-          done;
-          w := hi_w
-        done
-      in
-      Runtime.Pool.parallel_for pool ~lo:0 ~hi:!n_hits update_rows;
+      let w = ref 0 in
+      while !w < stride do
+        let hi_w = Int.min stride (!w + panel) in
+        for h = 0 to !n_hits - 1 do
+          xor_words table (hit_idx.(h) * stride) store (hits.(h) * stride) !w hi_w
+        done;
+        w := hi_w
+      done;
       pivot_row := pr + b
     end;
     (* the next block starts after the last column examined *)

@@ -18,8 +18,9 @@
     work unit, which is an increment and one atomic load; only every
     [poll_every]-th poll runs the full (clock-reading) check.  A tripped
     budget records a {!trip} (first trip wins, atomically), sets its
-    {!Runtime.Pool.Cancel} token so queued pool chunks stop scheduling and
-    sibling domains notice on their next poll, and raises {!Tripped}.
+    {!Runtime.Pool.Cancel} token so pinned tasks not yet started are
+    skipped and sibling domains notice on their next poll, and raises
+    {!Tripped}.
     Layers that can degrade gracefully catch {!Tripped} and return the
     sound partial results they already hold.
 

@@ -4,8 +4,8 @@
 val time : (unit -> 'a) -> 'a * float
 
 (** Cumulative user+system CPU seconds of the whole process (all
-    domains).  With the domain pool active, CPU exceeding wall clock is
-    direct evidence of parallel execution. *)
+    domains).  CPU exceeding wall clock is direct evidence of parallel
+    execution (portfolio seats, daemon workers). *)
 val process_cpu : unit -> float
 
 (** [time_cpu f] is [(result, wall_seconds, cpu_seconds)] for one call. *)

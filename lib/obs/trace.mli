@@ -1,7 +1,8 @@
 (** Low-overhead nestable span tracing with per-domain buffers.
 
     The fact-learning loop interleaves XL, ElimLin and conflict-bounded
-    CDCL across a domain pool; to see {e which} technique learns {e what},
+    CDCL, with portfolio seats and daemon workers on their own domains;
+    to see {e which} technique learns {e what},
     {e when}, and at what cost, every layer wraps its work in spans.  The
     recorder is designed around two constraints:
 
@@ -15,8 +16,8 @@
 
     The export format is Chrome trace-event JSON ({!to_json}): runs open
     directly in [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto},
-    with one track per domain, so pool-worker utilisation is visible at a
-    glance.  Buffers are bounded: past {!set_capacity} events per domain,
+    with one track per domain, so seat and worker utilisation is visible
+    at a glance.  Buffers are bounded: past {!set_capacity} events per domain,
     new spans are dropped (and counted in {!dropped}) rather than grown —
     an already-open span always records its end, so exported begin/end
     events stay matched even at the cap. *)

@@ -1107,8 +1107,8 @@ let invariant_violations t =
 
 (* Domain-safety note: a solver instance is confined to the domain that
    uses it — all search state lives in [t]; this module keeps no mutable
-   globals, so independent instances may run on concurrent domains (the
-   bench driver's --jobs batching relies on this).  The audit flag is read
+   globals, so independent instances may run on concurrent domains
+   (portfolio seats and daemon workers rely on this).  The audit flag is read
    eagerly rather than via [lazy]: Lazy.force from several domains races
    (Lazy.RacyLazy). *)
 let audit_hooks =

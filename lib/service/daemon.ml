@@ -396,12 +396,11 @@ let rec accept_loop t =
 (* lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* 1 main domain, [workers] worker domains, [jobs - 1] shared kernel-pool
-   workers and, per worker, [portfolio - 1] pinned portfolio seats. *)
+(* 1 main domain, [workers] worker domains and, per worker,
+   [portfolio - 1] pinned portfolio seats. *)
 let domains_needed cfg =
-  let portfolio = Int.max 1 cfg.base_config.Bosphorus.Config.portfolio
-  and jobs = Int.max 1 cfg.base_config.Bosphorus.Config.jobs in
-  (cfg.workers * portfolio) + jobs
+  let portfolio = Int.max 1 cfg.base_config.Bosphorus.Config.portfolio in
+  (cfg.workers * portfolio) + 1
 
 let check_config cfg =
   if cfg.workers < 1 then Error "workers must be >= 1"
@@ -410,10 +409,10 @@ let check_config cfg =
     if n > Runtime.Pool.domain_limit then
       Error
         (Printf.sprintf
-           "%d workers with portfolio %d and %d jobs need %d domains, above \
-            the runtime's limit of %d"
-           cfg.workers cfg.base_config.Bosphorus.Config.portfolio
-           cfg.base_config.Bosphorus.Config.jobs n Runtime.Pool.domain_limit)
+           "%d workers with portfolio %d need %d domains, above the \
+            runtime's limit of %d"
+           cfg.workers cfg.base_config.Bosphorus.Config.portfolio n
+           Runtime.Pool.domain_limit)
     else Ok ()
 
 let start cfg =

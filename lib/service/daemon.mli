@@ -37,10 +37,9 @@ type config = {
 
 val default_config : socket_path:string -> config
 
-(** Domains a running daemon uses at most: [workers * P + J] for
-    portfolio width [P] and kernel-pool width [J] (each at least 1) — the
-    main domain, [workers] worker domains, [J - 1] pool workers and
-    [workers * (P - 1)] pinned portfolio seats. *)
+(** Domains a running daemon uses at most: [workers * P + 1] for
+    portfolio width [P] (at least 1) — the main domain, [workers] worker
+    domains and [workers * (P - 1)] pinned portfolio seats. *)
 val domains_needed : config -> int
 
 (** [Error] when [workers < 1] or {!domains_needed} exceeds

@@ -1,4 +1,4 @@
-(* domain-capture fixture: pool tasks capturing non-atomic mutable
+(* domain-capture fixture: pinned tasks capturing non-atomic mutable
    state.  Each function trips a different sub-rule of the capture
    analysis. *)
 
@@ -6,9 +6,8 @@
 let bad_counter () =
   let counter = ref 0 in
   let tbl = Hashtbl.create 8 in
-  let pool = Runtime.Pool.get ~jobs:2 in
   ignore
-    (Runtime.Pool.run pool
+    (Runtime.Pool.run_pinned
        [
          (fun () ->
            incr counter;
@@ -19,14 +18,12 @@ let bad_counter () =
 (* write into a captured bytes buffer *)
 let bad_bytes_write () =
   let buf = Bytes.create 8 in
-  let pool = Runtime.Pool.get ~jobs:2 in
-  ignore (Runtime.Pool.run pool [ (fun () -> Bytes.set buf 0 'x') ]);
+  ignore (Runtime.Pool.run_pinned [ (fun () -> Bytes.set buf 0 'x') ]);
   buf
 
 (* the task is passed by name: the analyzer resolves the local binding *)
 let bad_indirect () =
   let seen = Hashtbl.create 4 in
   let task () = Hashtbl.replace seen 1 () in
-  let pool = Runtime.Pool.get ~jobs:2 in
-  ignore (Runtime.Pool.run pool [ task ]);
+  ignore (Runtime.Pool.run_pinned [ task ]);
   Hashtbl.length seen

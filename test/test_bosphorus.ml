@@ -1147,56 +1147,4 @@ let infra_suite =
       ] );
   ]
 
-(* ------------------------------------------------------------------ *)
-(* Parallel pipeline stages: each parallel path must reproduce its
-   sequential twin exactly (same list, same matrix).                    *)
-(* ------------------------------------------------------------------ *)
-
-let random_system ~n_polys ~n_vars ~terms seed =
-  let rng = Random.State.make [| seed |] in
-  List.init n_polys (fun _ ->
-      P.of_monomials
-        (List.init terms (fun _ ->
-             Anf.Monomial.of_vars
-               (List.init 2 (fun _ -> 1 + Random.State.int rng n_vars)))))
-
-let test_linearize_parallel_identical () =
-  let polys = random_system ~n_polys:40 ~n_vars:16 ~terms:6 23 in
-  let seq = B.Linearize.reduce ~jobs:1 polys in
-  let par = B.Linearize.reduce ~jobs:3 polys in
-  check_int "same column count" seq.B.Linearize.n_columns par.B.Linearize.n_columns;
-  check_int "same rank" seq.B.Linearize.rank par.B.Linearize.rank;
-  check "same rows" true (List.equal P.equal seq.B.Linearize.rows par.B.Linearize.rows)
-
-let test_xl_run_parallel_config () =
-  let polys = table1_system () in
-  let run jobs =
-    B.Xl.run
-      ~config:{ B.Config.default with B.Config.jobs }
-      ~rng:(Random.State.make [| 0 |]) polys
-  in
-  let seq = run 1 and par = run 3 in
-  check_int "same rank" seq.B.Xl.rank par.B.Xl.rank;
-  check "same facts" true
-    (List.length seq.B.Xl.facts = List.length par.B.Xl.facts
-    && List.for_all2 P.equal seq.B.Xl.facts par.B.Xl.facts)
-
-let test_elimlin_parallel_config () =
-  let polys = random_system ~n_polys:25 ~n_vars:12 ~terms:4 31 in
-  let seq = B.Elimlin.run_full ~jobs:1 polys and par = B.Elimlin.run_full ~jobs:3 polys in
-  check "same facts" true
-    (List.length seq.B.Elimlin.facts = List.length par.B.Elimlin.facts
-    && List.for_all2 P.equal seq.B.Elimlin.facts par.B.Elimlin.facts)
-
-let parallel_suite =
-  [
-    ( "bosphorus.parallel",
-      [
-        Alcotest.test_case "linearize identical under jobs" `Quick
-          test_linearize_parallel_identical;
-        Alcotest.test_case "xl run with config.jobs" `Quick test_xl_run_parallel_config;
-        Alcotest.test_case "elimlin with jobs" `Quick test_elimlin_parallel_config;
-      ] );
-  ]
-
-let suite = main_suite @ groebner_suite @ infra_suite @ parallel_suite
+let suite = main_suite @ groebner_suite @ infra_suite

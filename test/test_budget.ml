@@ -1,5 +1,5 @@
 (* Tests for the unified resource budgets (Harness.Budget), cooperative
-   pool cancellation (Runtime.Pool.Cancel), the fault-injection hook, and
+   cancellation of pinned tasks (Runtime.Pool.Cancel), the fault-injection hook, and
    the driver's graceful Degraded degradation. *)
 
 module Budget = Harness.Budget
@@ -189,99 +189,91 @@ let test_perf_counters () =
 
 let test_cancel_before_start () =
   List.iter
-    (fun jobs ->
-      let pool = Pool.get ~jobs in
+    (fun n ->
       let tok = Pool.Cancel.create () in
       Pool.Cancel.set tok;
       let started = Atomic.make 0 in
-      (match
-         Pool.run ~cancel:tok pool
-           (List.init 8 (fun i () ->
-                Atomic.incr started;
-                i))
-       with
-      | _ -> Alcotest.fail "run must re-raise Cancelled"
-      | exception Pool.Cancelled -> ());
-      check_int (Printf.sprintf "jobs=%d: no task ran despite a pre-set token" jobs) 0
+      let results =
+        Pool.run_pinned ~cancel:tok
+          (List.init n (fun i () ->
+               Atomic.incr started;
+               i))
+      in
+      List.iter
+        (function
+          | Error Pool.Cancelled -> ()
+          | Ok _ | Error _ -> Alcotest.fail "every slot must report Cancelled")
+        results;
+      check_int (Printf.sprintf "%d tasks: no task ran despite a pre-set token" n) 0
         (Atomic.get started))
     [ 1; 4 ]
 
 let test_cancel_mid_run_no_lost_futures () =
   (* the first task sets the token; the rest either never start
      (Cancelled) or observe the token cooperatively and finish.  Every
-     future must be joined before [run] returns or re-raises: no started
-     task may still be running afterwards. *)
-  let pool = Pool.get ~jobs:4 in
+     future must be joined before [run_pinned] returns: no started task
+     may still be running afterwards. *)
   let tok = Pool.Cancel.create () in
   let started = Atomic.make 0 and finished = Atomic.make 0 in
-  let outcome =
-    match
-      Pool.run ~cancel:tok pool
-        (List.init 16 (fun i () ->
-             Atomic.incr started;
-             if i = 0 then Pool.Cancel.set tok
-             else
-               while not (Pool.Cancel.is_set tok) do
-                 Domain.cpu_relax ()
-               done;
-             Atomic.incr finished;
-             i))
-    with
-    | results -> Ok results
-    | exception Pool.Cancelled -> Error ()
+  let results =
+    Pool.run_pinned ~cancel:tok
+      (List.init 4 (fun i () ->
+           Atomic.incr started;
+           if i = 0 then Pool.Cancel.set tok
+           else
+             while not (Pool.Cancel.is_set tok) do
+               Domain.cpu_relax ()
+             done;
+           Atomic.incr finished;
+           i))
   in
-  (match outcome with
-  | Ok results -> check "every slot ran" true (results = List.init 16 Fun.id)
-  | Error () -> check "some slot was skipped" true (Atomic.get started < 16));
+  List.iteri
+    (fun i r ->
+      match r with
+      | Ok v -> check_int "slot result" i v
+      | Error Pool.Cancelled -> check "a skipped slot is not the first" true (i > 0)
+      | Error e -> Alcotest.fail ("wrong exception: " ^ Printexc.to_string e))
+    results;
   check "first slot ran" true (Atomic.get started >= 1);
-  check_int "every started task finished before run returned" (Atomic.get started)
+  check_int "every started task finished before run_pinned returned" (Atomic.get started)
     (Atomic.get finished)
-
-let test_run_propagates_cancelled () =
-  let pool = Pool.get ~jobs:2 in
-  let tok = Pool.Cancel.create () in
-  Pool.Cancel.set tok;
-  (match Pool.run ~cancel:tok pool [ (fun () -> 1) ] with
-  | _ -> Alcotest.fail "run must re-raise Cancelled"
-  | exception Pool.Cancelled -> ())
 
 let test_budget_trip_cancels_pool_stress () =
   (* 4-domain stress: one task trips a shared budget; siblings poll it
-     and stop; the caller joins every slot without deadlocking and [run]
-     re-raises the trip (or Cancelled for a skipped slot before it) *)
+     and stop; the caller joins every slot without deadlocking and the
+     tripping slot reports the trip (a slot skipped before it starts
+     reports Cancelled) *)
   for round = 0 to 9 do
     let b = Budget.create ~max_memory_monomials:10 () in
-    let pool = Pool.get ~jobs:4 in
     let started = Atomic.make 0 and finished = Atomic.make 0 in
-    let raised =
-      match
-        Pool.run
-          ~cancel:(Budget.cancel_token b)
-          pool
-          (List.init 12 (fun i () ->
-               Atomic.incr started;
-               Fun.protect ~finally:(fun () -> Atomic.incr finished) @@ fun () ->
-               if i = round mod 12 then begin
-                 Budget.set_cells b 11;
-                 Budget.check b ~layer:"stress";
-                 0
-               end
-               else begin
-                 (* cooperative worker: poll until the trip propagates *)
-                 let n = ref 0 in
-                 (try
-                    while !n < 1_000_000 do
-                      incr n;
-                      Budget.poll b ~layer:"stress"
-                    done
-                  with Budget.Tripped _ -> ());
-                 !n
-               end))
-      with
-      | _ -> false
-      | exception (Budget.Tripped _ | Pool.Cancelled) -> true
+    let tripper = round mod 4 in
+    let results =
+      Pool.run_pinned
+        ~cancel:(Budget.cancel_token b)
+        (List.init 4 (fun i () ->
+             Atomic.incr started;
+             Fun.protect ~finally:(fun () -> Atomic.incr finished) @@ fun () ->
+             if i = tripper then begin
+               Budget.set_cells b 11;
+               Budget.check b ~layer:"stress";
+               0
+             end
+             else begin
+               (* cooperative worker: poll until the trip propagates *)
+               let n = ref 0 in
+               (try
+                  while !n < 1_000_000 do
+                    incr n;
+                    Budget.poll b ~layer:"stress"
+                  done
+                with Budget.Tripped _ -> ());
+               !n
+             end))
     in
-    check "the tripping slot's failure is re-raised" true raised;
+    check "the tripping slot reports its failure" true
+      (match List.nth results tripper with
+      | Error (Budget.Tripped _ | Pool.Cancelled) -> true
+      | Ok _ | Error _ -> false);
     check_int "every started slot finished" (Atomic.get started) (Atomic.get finished);
     check "budget tripped" true (Budget.tripped b <> None);
     check "token observed" true (Budget.cancelled b)
@@ -353,19 +345,18 @@ let paper_system () =
       "x2*x3 + x5 + 1";
     ]
 
-let fault_config ~jobs =
+let fault_config =
   {
     B.Config.default with
     B.Config.stop_on_solution = false;
     audit_trail = true;
-    jobs;
   }
 
-let run_fault_in_layer ~layer ~jobs =
+let run_fault_in_layer ~layer =
   with_fault_injection (fun () ->
       Budget.inject_trip_after ~layer 0;
       let input = paper_system () in
-      let outcome = B.Driver.run ~config:(fault_config ~jobs) input in
+      let outcome = B.Driver.run ~config:fault_config input in
       Budget.inject_clear ();
       check (layer ^ ": degraded") true (outcome.B.Driver.status = B.Driver.Degraded);
       (match outcome.B.Driver.budget_report with
@@ -379,14 +370,8 @@ let run_fault_in_layer ~layer ~jobs =
       check (layer ^ ": partial facts certified") true (Audit.Certify.all_certified r))
 
 let test_fault_each_layer () =
-  List.iter (fun layer -> run_fault_in_layer ~layer ~jobs:1)
+  List.iter (fun layer -> run_fault_in_layer ~layer)
     [ "driver"; "xl"; "elimlin"; "sat" ]
-
-let test_fault_stress_four_domains () =
-  (* same trips with a 4-domain pool active: no deadlock, no lost
-     futures, well-formed report *)
-  List.iter (fun layer -> run_fault_in_layer ~layer ~jobs:4)
-    [ "xl"; "elimlin" ]
 
 let test_fault_later_iteration () =
   (* arm the countdown so the trip lands mid-run rather than on the first
@@ -394,7 +379,7 @@ let test_fault_later_iteration () =
   with_fault_injection (fun () ->
       Budget.inject_trip_after ~layer:"sat" 1;
       let input = paper_system () in
-      let outcome = B.Driver.run ~config:(fault_config ~jobs:1) input in
+      let outcome = B.Driver.run ~config:fault_config input in
       Budget.inject_clear ();
       check "degraded" true (outcome.B.Driver.status = B.Driver.Degraded);
       let r = Audit.Certify.certify ~input outcome in
@@ -490,7 +475,6 @@ let suite =
         Alcotest.test_case "pre-set token skips tasks" `Quick test_cancel_before_start;
         Alcotest.test_case "mid-run cancel loses no futures" `Quick
           test_cancel_mid_run_no_lost_futures;
-        Alcotest.test_case "run re-raises Cancelled" `Quick test_run_propagates_cancelled;
         Alcotest.test_case "budget trip cancels pool (stress)" `Quick
           test_budget_trip_cancels_pool_stress;
       ] );
@@ -501,7 +485,6 @@ let suite =
         Alcotest.test_case "layer filter" `Quick test_injection_layer_filter;
         Alcotest.test_case "inject_clear disarms" `Quick test_injection_clear;
         Alcotest.test_case "driver: trip each layer" `Quick test_fault_each_layer;
-        Alcotest.test_case "driver: 4-domain stress" `Quick test_fault_stress_four_domains;
         Alcotest.test_case "driver: mid-run fault keeps earlier facts" `Quick
           test_fault_later_iteration;
       ] );

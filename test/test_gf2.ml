@@ -420,6 +420,26 @@ let prop_m4rm_differential =
               (int_range 1 8))
     (fun (m, k) -> m4rm_agrees_with_rref ~k m)
 
+(* rref_m4rm keeps no state between calls: [jobs] copies reduced at once,
+   one per dedicated domain, each come out bit-identical to a run on the
+   calling domain and to plain RREF. *)
+let prop_m4rm_parallel_equals_sequential =
+  QCheck.Test.make ~name:"four russians RREF: jobs=k = jobs=1 = plain RREF" ~count:200
+    QCheck.(triple (make matrix_gen) (int_range 1 8) (int_range 2 4))
+    (fun (m, k, jobs) ->
+      let plain = Gf2.Matrix.copy m and seq = Gf2.Matrix.copy m in
+      let r0 = Gf2.Matrix.rref plain in
+      let r1 = Gf2.Matrix.rref_m4rm ~k seq in
+      let show = Format.asprintf "%a" Gf2.Matrix.pp in
+      let par = List.init jobs (fun _ -> Gf2.Matrix.copy m) in
+      let ranks =
+        Runtime.Pool.run_pinned (List.map (fun c () -> Gf2.Matrix.rref_m4rm ~k c) par)
+      in
+      r0 = r1
+      && show plain = show seq
+      && List.for_all (function Ok r -> r = r1 | Error _ -> false) ranks
+      && List.for_all (fun c -> show c = show seq) par)
+
 (* Matrices shaped like the service workload's XL passes: random
    quadratic systems over 20 variables, every polynomial times every
    variable, linearised (about 336 rows, 3-4 bits each, rank close to
@@ -444,38 +464,6 @@ let test_m4rm_xl_shaped () =
       (fun k -> check (Printf.sprintf "k=%d" k) true (m4rm_agrees_with_rref ~k m))
       [ 1; 3; 6; 8 ]
   done
-
-(* The parallel panel update must be bit-identical for every jobs count:
-   pivot selection stays sequential and row updates are disjoint. *)
-let prop_m4rm_parallel_equals_sequential =
-  QCheck.Test.make ~name:"four russians RREF: jobs=k = jobs=1 = plain RREF" ~count:200
-    QCheck.(triple (make matrix_gen) (int_range 1 8) (int_range 2 4))
-    (fun (m, k, jobs) ->
-      let plain = Gf2.Matrix.copy m
-      and seq = Gf2.Matrix.copy m
-      and par = Gf2.Matrix.copy m in
-      let r0 = Gf2.Matrix.rref plain in
-      let r1 = Gf2.Matrix.rref_m4rm ~k ~jobs:1 seq in
-      let r2 = Gf2.Matrix.rref_m4rm ~k ~jobs par in
-      let show = Format.asprintf "%a" Gf2.Matrix.pp in
-      r0 = r1 && r1 = r2 && show plain = show seq && show seq = show par)
-
-let test_m4rm_parallel_large () =
-  let n = 200 in
-  let rng = Random.State.make [| 77 |] in
-  let m = Gf2.Matrix.create ~rows:n ~cols:n in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      if Random.State.bool rng then Gf2.Matrix.set m i j true
-    done
-  done;
-  let seq = Gf2.Matrix.copy m and par = Gf2.Matrix.copy m in
-  let r1 = Gf2.Matrix.rref_m4rm ~jobs:1 seq in
-  let r2 = Gf2.Matrix.rref_m4rm ~jobs:4 par in
-  check_int "same rank" r1 r2;
-  Alcotest.(check string) "bit-identical RREF"
-    (Format.asprintf "%a" Gf2.Matrix.pp seq)
-    (Format.asprintf "%a" Gf2.Matrix.pp par)
 
 (* ------------------------------------------------------------------ *)
 (* Bigarray word store: model-based checks across word boundaries      *)
@@ -532,9 +520,9 @@ let test_bitvec_model_lengths () =
         (Gf2.Bitvec.equal v (Gf2.Bitvec.copy v)))
     boundary_lengths
 
-(* cache-blocked parallel M4RM on a non-word-aligned shape: bit-identical
-   to jobs=1 and to plain Gauss-Jordan *)
-let test_m4rm_nonaligned_parallel () =
+(* cache-blocked M4RM on a non-word-aligned shape: bit-identical to
+   plain Gauss-Jordan *)
+let test_m4rm_nonaligned () =
   let rng = Random.State.make [| 79 |] in
   let rows = 90 and cols = 130 in
   let m = Gf2.Matrix.create ~rows ~cols in
@@ -546,25 +534,10 @@ let test_m4rm_nonaligned_parallel () =
   let g = Gf2.Matrix.copy m in
   let rank_g = Gf2.Matrix.rref g in
   let m1 = Gf2.Matrix.copy m in
-  let rank1 = Gf2.Matrix.rref_m4rm ~jobs:1 m1 in
-  let m3 = Gf2.Matrix.copy m in
-  let rank3 = Gf2.Matrix.rref_m4rm ~jobs:3 m3 in
-  check_int "m4rm jobs=1 rank = rref rank" rank_g rank1;
-  check_int "m4rm jobs=3 rank" rank_g rank3;
+  let rank1 = Gf2.Matrix.rref_m4rm m1 in
+  check_int "m4rm rank = rref rank" rank_g rank1;
   let render m = Format.asprintf "%a" Gf2.Matrix.pp m in
-  Alcotest.(check string) "jobs=1 = rref" (render g) (render m1);
-  Alcotest.(check string) "jobs=3 = jobs=1" (render m1) (render m3)
-
-let test_m4rm_parallel_worthwhile_gate () =
-  (* jobs=1 never dispatches, zero work stays inline, and huge shapes at
-     jobs>1 dispatch exactly when the host can run domains in parallel;
-     the runtime.grain tests check the cutoff's shape *)
-  let m4rm ~rows ~cols ~jobs = Gf2.Matrix.m4rm_parallel_worthwhile ~rows ~cols ~jobs () in
-  check "jobs=1 is never worthwhile" false (m4rm ~rows:1_000_000 ~cols:65_536 ~jobs:1);
-  check "zero work stays inline" false (m4rm ~rows:0 ~cols:0 ~jobs:4);
-  check "huge shape at jobs=4 dispatches iff the host can parallelize"
-    (Domain.recommended_domain_count () > 1)
-    (m4rm ~rows:1_000_000 ~cols:65_536 ~jobs:4)
+  Alcotest.(check string) "m4rm = rref" (render g) (render m1)
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -613,10 +586,7 @@ let suite =
         Alcotest.test_case "in_row_space" `Quick test_matrix_in_row_space;
         Alcotest.test_case "four russians RREF" `Quick test_m4rm_matches_rref;
         Alcotest.test_case "four russians on XL-shaped matrices" `Quick test_m4rm_xl_shaped;
-        Alcotest.test_case "parallel M4RM on 200x200" `Quick test_m4rm_parallel_large;
-        Alcotest.test_case "non-aligned parallel M4RM" `Quick
-          test_m4rm_nonaligned_parallel;
-        Alcotest.test_case "granularity gate" `Quick test_m4rm_parallel_worthwhile_gate;
+        Alcotest.test_case "non-aligned M4RM" `Quick test_m4rm_nonaligned;
       ] );
     ("gf2.properties", qcheck_cases);
   ]

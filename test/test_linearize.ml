@@ -142,10 +142,10 @@ let random_matrix ~rows ~cols ~density seed =
   done;
   m
 
-let m4rm_matches_rref ?(jobs = 1) m =
+let m4rm_matches_rref m =
   let plain = Gf2.Matrix.copy m and four = Gf2.Matrix.copy m in
   let r1 = Gf2.Matrix.rref plain in
-  let r2 = Gf2.Matrix.rref_m4rm ~jobs four in
+  let r2 = Gf2.Matrix.rref_m4rm four in
   r1 = r2 && same_matrix plain four
 
 let test_m4rm_tall () =
@@ -158,15 +158,6 @@ let test_m4rm_tall () =
         true
         (m4rm_matches_rref (random_matrix ~rows ~cols ~density seed)))
     [ (257, 63, 50, 1); (300, 200, 50, 2); (334, 723, 1, 3); (520, 126, 10, 4); (700, 64, 30, 5) ]
-
-let test_m4rm_dispatch () =
-  (* big enough that rref_m4rm puts the trailing update on the pool at
-     jobs 2 (on a host with more than one domain) *)
-  let rows = 1600 and cols = 4000 in
-  if Domain.recommended_domain_count () > 1 then
-    check "dispatches" true (Gf2.Matrix.m4rm_parallel_worthwhile ~rows ~cols ~jobs:2 ());
-  check "jobs 2 = rref" true
-    (m4rm_matches_rref ~jobs:2 (random_matrix ~rows ~cols ~density:50 6))
 
 (* ---------- no forced minor collections ---------- *)
 
@@ -205,7 +196,6 @@ let suite =
     ( "gf2.store",
       [
         Alcotest.test_case "m4rm = rref past 256 rows" `Quick test_m4rm_tall;
-        Alcotest.test_case "m4rm = rref, dispatched at jobs 2" `Quick test_m4rm_dispatch;
         Alcotest.test_case "no minor collection creating matrix/solver" `Quick
           test_no_minor_collection;
       ] );

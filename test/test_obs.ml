@@ -134,17 +134,15 @@ let stack_matched events =
 let test_trace_export_parses_matched () =
   with_clean_obs @@ fun () ->
   Trace.set_enabled true;
-  (* spans from the main domain, instants, and pool-worker spans *)
+  (* spans from the main domain, instants, and pinned-task spans *)
   Trace.with_span ~name:"root" (fun () ->
       Trace.instant "mark" ~args:[ ("detail", "x") ];
-      (* a barrier across exactly [jobs] tasks: each spins until all four
-         have started, which forces them onto four distinct domains (the
-         caller helps, so without this the caller could run every task
-         itself and the multi-track assertion would be racy) *)
+      (* a barrier across all four pinned tasks: each spins until all four
+         have started, so the spans land on four distinct domains while
+         each is still open *)
       let started = Atomic.make 0 in
-      let pool = Pool.get ~jobs:4 in
       ignore
-        (Pool.run pool
+        (Pool.run_pinned
            (List.init 4 (fun i () ->
                 Trace.with_span ~name:"worker-span" (fun () ->
                     Atomic.incr started;
@@ -299,9 +297,9 @@ let test_metrics_counter_atomicity () =
   let c = Metrics.counter "test.parallel_counter" in
   let bump () =
     ignore
-      (Pool.run (Pool.get ~jobs:4)
-         (List.init 8 (fun _ () ->
-              for _ = 1 to 10_000 do
+      (Pool.run_pinned
+         (List.init 4 (fun _ () ->
+              for _ = 1 to 20_000 do
                 Metrics.incr c
               done)))
   in
@@ -487,7 +485,7 @@ let suite =
     ( "obs.metrics",
       [
         Alcotest.test_case "disabled path is a no-op" `Quick test_metrics_disabled_noop;
-        Alcotest.test_case "counter atomic under jobs=4, deterministic" `Quick
+        Alcotest.test_case "counter atomic across domains, deterministic" `Quick
           test_metrics_counter_atomicity;
         Alcotest.test_case "kind clash rejected" `Quick test_metrics_kind_clash_rejected;
         Alcotest.test_case "export parses (gauges, histograms, extras)" `Quick

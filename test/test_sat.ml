@@ -745,8 +745,8 @@ let proof_suite =
 
 (* ------------------------------------------------------------------ *)
 (* Domain safety: solver instances share no mutable module state, so     *)
-(* distinct instances may run on distinct domains concurrently (the      *)
-(* bench driver's --jobs batching relies on this).                       *)
+(* distinct instances may run on distinct domains concurrently          *)
+(* (portfolio seats and daemon workers rely on this).                    *)
 (* ------------------------------------------------------------------ *)
 
 let test_concurrent_solver_instances () =
@@ -770,13 +770,22 @@ let test_concurrent_solver_instances () =
     | Sat.Types.Undecided -> `Undecided
   in
   let sequential = List.map solve formulas in
-  let pool = Runtime.Pool.get ~jobs:4 in
-  (* several rounds so every worker domain touches several instances *)
-  for round = 1 to 3 do
-    let parallel = Runtime.Pool.map_list pool solve formulas in
-    check (Printf.sprintf "round %d matches sequential" round) true
-      (List.for_all2 ( = ) sequential parallel)
-  done
+  (* four pinned tasks, each solving every formula starting at its own
+     offset, so distinct instances run on distinct domains at once *)
+  let n = List.length formulas in
+  let rotate k xs = List.filteri (fun i _ -> i >= k) xs @ List.filteri (fun i _ -> i < k) xs in
+  let results =
+    Runtime.Pool.run_pinned
+      (List.init 4 (fun k () -> List.map solve (rotate (k mod n) formulas)))
+  in
+  List.iteri
+    (fun k r ->
+      match r with
+      | Ok verdicts ->
+          check (Printf.sprintf "task %d matches sequential" k) true
+            (List.for_all2 ( = ) (rotate (k mod n) sequential) verdicts)
+      | Error e -> Alcotest.failf "task %d raised %s" k (Printexc.to_string e))
+    results
 
 let concurrency_suite =
   [

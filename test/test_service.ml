@@ -511,22 +511,25 @@ let test_fault_injection_degraded () =
   let after = submit_ok ~what:"post-fault submit" c ~client:"fi2" trivial_anf in
   check "daemon solves after the fault" true (after.SP.status <> "degraded")
 
-(* W workers with portfolio P and pool width J need W*P + J domains; past
-   the runtime's limit the daemon refuses before binding or spawning. *)
+(* W workers with portfolio P need W*P + 1 domains; past the runtime's
+   limit the daemon refuses before binding or spawning. *)
 let test_domain_limit () =
   let socket_path = "tsvc-limit.sock" in
   let cfg = Service.Daemon.default_config ~socket_path in
-  let with_widths workers portfolio jobs =
+  let with_widths workers portfolio =
     {
       cfg with
       Service.Daemon.workers;
-      base_config = { cfg.Service.Daemon.base_config with Bosphorus.Config.portfolio; jobs };
+      base_config = { cfg.Service.Daemon.base_config with Bosphorus.Config.portfolio };
     }
   in
-  Alcotest.(check int) "2 x 64 + 1" 129 (Service.Daemon.domains_needed (with_widths 2 64 1));
-  check "64 x 1 + 64 fits" true
-    (Service.Daemon.check_config (with_widths 64 1 64) = Ok ());
-  (match Service.Daemon.start (with_widths 2 64 1) with
+  Alcotest.(check int) "2 x 64 + 1" 129 (Service.Daemon.domains_needed (with_widths 2 64));
+  Alcotest.(check int) "64 x 1 + 1" 65 (Service.Daemon.domains_needed (with_widths 64 1));
+  check "127 x 1 + 1 fits" true
+    (Service.Daemon.check_config (with_widths 127 1) = Ok ());
+  check "128 x 1 + 1 is refused" true
+    (Result.is_error (Service.Daemon.check_config (with_widths 128 1)));
+  (match Service.Daemon.start (with_widths 2 64) with
   | d ->
       Service.Daemon.stop d;
       Alcotest.fail "a daemon past the domain limit started"

@@ -46,9 +46,9 @@ let poly_of_row columns row =
   P.of_monomials (Gf2.Bitvec.fold_set row [] (fun acc i -> columns.(i) :: acc))
 
 (* [Linearize.reduce] over the hash-table build. *)
-let reduce ?(jobs = 1) ?poll ?(keep = fun _ _ -> true) polys =
+let reduce ?poll ?(keep = fun _ _ -> true) polys =
   let columns, matrix = build polys in
-  let rank = Gf2.Matrix.rref_m4rm ~jobs ?poll matrix in
+  let rank = Gf2.Matrix.rref_m4rm ?poll matrix in
   (* [keep] takes the library's column basis, built by the library from
      the same polynomials *)
   let keep = keep (fst (B.Linearize.build polys)) in
@@ -216,7 +216,7 @@ let run ~config ~rng ?budget polys =
       in
       match
         Obs.Trace.with_span ~name:"xl.linearize_reduce" (fun () ->
-            let r = reduce ~jobs:config.jobs ~poll ~keep:B.Xl.fact_shaped expanded in
+            let r = reduce ~poll ~keep:B.Xl.fact_shaped expanded in
             (r, B.Xl.retain_facts r.B.Linearize.rows))
       with
       | r, facts ->
