@@ -25,7 +25,11 @@ let tokenize line =
       let start = !i in
       while !i < n && line.[!i] >= '0' && line.[!i] <= '9' do incr i done;
       if !i = start then fail "variable 'x' without index in %S" line;
-      let index = int_of_string (String.sub line start (!i - start)) in
+      let index =
+        match int_of_string_opt (String.sub line start (!i - start)) with
+        | Some index -> index
+        | None -> fail "variable index out of range in %S" line
+      in
       if parenthesised then
         if !i < n && line.[!i] = ')' then incr i
         else fail "unclosed variable parenthesis in %S" line;

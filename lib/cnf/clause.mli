@@ -6,6 +6,12 @@ type t
     literals are sorted.  The empty clause (always false) is allowed. *)
 val of_list : Lit.t list -> t
 
+(** [of_sorted_array lits] is the clause of [lits], which must be
+    strictly ascending (no sorting, no copy: the clause takes the array,
+    which must not be written to afterwards).  Raises [Invalid_argument]
+    otherwise. *)
+val of_sorted_array : Lit.t array -> t
+
 val to_list : t -> Lit.t list
 val length : t -> int
 

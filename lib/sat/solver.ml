@@ -708,6 +708,21 @@ let analyze t confl =
 (* Literal [i] of clause [c] as a packed index. *)
 let clit c i = Cnf.Lit.to_index (Cnf.Clause.get c i)
 
+(* The scans below are top-level functions rather than closures over the
+   clause, so adding a clause allocates none. *)
+let rec clause_tautology c n i =
+  i + 1 < n && (clit c i lxor 1 = clit c (i + 1) || clause_tautology c n (i + 1))
+
+let rec clause_satisfied t c n i =
+  i < n && (lit_code t (clit c i) = code_true || clause_satisfied t c n (i + 1))
+
+let rec clause_kept t c n i acc =
+  if i >= n then acc
+  else clause_kept t c n (i + 1) (if lit_code t (clit c i) = code_false then acc else acc + 1)
+
+let rec first_kept t c i =
+  if lit_code t (clit c i) = code_false then first_kept t c (i + 1) else clit c i
+
 (* Root-level simplification of a clause whose literals are ascending and
    distinct (a [Cnf.Clause.t]): succeed on a true literal or a
    complementary pair (adjacent, since x and ~x are 2v and 2v+1), drop
@@ -716,18 +731,14 @@ let clit c i = Cnf.Lit.to_index (Cnf.Clause.get c i)
 let add_clause_internal t c =
   assert (decision_level t = 0);
   let n = Cnf.Clause.length c in
-  let rec tautology i = i + 1 < n && (clit c i lxor 1 = clit c (i + 1) || tautology (i + 1)) in
-  let rec satisfied i = i < n && (lit_code t (clit c i) = code_true || satisfied (i + 1)) in
-  let rec kept i acc = if i >= n then acc else kept (i + 1) (if lit_code t (clit c i) = code_false then acc else acc + 1) in
-  let rec first_kept i = if lit_code t (clit c i) = code_false then first_kept (i + 1) else clit c i in
-  if tautology 0 || satisfied 0 then true
+  if clause_tautology c n 0 || clause_satisfied t c n 0 then true
   else
-    match kept 0 0 with
+    match clause_kept t c n 0 0 with
     | 0 ->
         mark_unsat t;
         false
     | 1 ->
-        enqueue t (first_kept 0) Arena.none;
+        enqueue t (first_kept t c 0) Arena.none;
         if propagate t <> Arena.none then begin
           mark_unsat t;
           false

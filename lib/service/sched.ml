@@ -34,6 +34,7 @@ type t = {
   in_ring : (string, unit) Hashtbl.t;
   running : (string, int) Hashtbl.t;
   jobs : (int, job) Hashtbl.t;
+  finished : int Queue.t;  (** ids of the finished jobs in [jobs], oldest first *)
   mutable next_id : int;
   mutable depth : int;
   mutable n_running : int;
@@ -54,6 +55,7 @@ let create () =
     in_ring = Hashtbl.create 16;
     running = Hashtbl.create 16;
     jobs = Hashtbl.create 64;
+    finished = Queue.create ();
     next_id = 0;
     depth = 0;
     n_running = 0;
@@ -63,6 +65,16 @@ let create () =
     n_cancelled = 0;
     stopping = false;
   }
+
+let finished_capacity = 1024
+
+(* Under the lock, once [job] is terminal: past [finished_capacity]
+   finished jobs, forget the oldest, so a long-lived daemon keeps a fixed
+   number of requests' texts, problems and summaries. *)
+let retire t job =
+  Queue.push job.id t.finished;
+  if Queue.length t.finished > finished_capacity then
+    Hashtbl.remove t.jobs (Queue.pop t.finished)
 
 let locked t f =
   Mutex.lock t.m;
@@ -113,6 +125,7 @@ let add_completed t ~client ~problem sub summary =
   let job = fresh_job t ~client ~cache_key:None ~problem ~state:Done sub in
   job.summary <- Some summary;
   t.n_done <- t.n_done + 1;
+  retire t job;
   job
 
 let find t id = locked t @@ fun () -> Hashtbl.find_opt t.jobs id
@@ -163,6 +176,7 @@ let finish t job result =
       job.state <- Failed;
       job.error <- Some msg;
       t.n_failed <- t.n_failed + 1);
+  retire t job;
   t.n_running <- t.n_running - 1;
   (match Hashtbl.find_opt t.running job.client with
   | Some n when n > 1 -> Hashtbl.replace t.running job.client (n - 1)
@@ -179,6 +193,7 @@ let cancel t id =
           job.state <- Cancelled;
           t.depth <- t.depth - 1;
           t.n_cancelled <- t.n_cancelled + 1;
+          retire t job;
           Condition.broadcast t.done_cv;
           `Cancelled
       | Running ->
@@ -225,7 +240,8 @@ let stop t =
           if job.state = Queued then begin
             job.state <- Cancelled;
             t.depth <- t.depth - 1;
-            t.n_cancelled <- t.n_cancelled + 1
+            t.n_cancelled <- t.n_cancelled + 1;
+            retire t job
           end)
         q)
     t.queues;

@@ -43,6 +43,12 @@ val add_completed :
   t -> client:string -> problem:problem -> Protocol.submit ->
   Protocol.summary -> job
 
+(** Finished jobs (done, failed or cancelled) kept for {!find}: past
+    this many, the oldest finished job is forgotten.  1024. *)
+val finished_capacity : int
+
+(** The job with this id, if it is queued, running, or among the last
+    {!finished_capacity} to finish. *)
 val find : t -> int -> job option
 
 (** Blocks for the next runnable job (fair round-robin across clients);

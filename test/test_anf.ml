@@ -203,7 +203,8 @@ let test_io_parse_errors () =
     | exception Anf.Anf_io.Parse_error _ -> ()
     | _ -> Alcotest.failf "expected parse error on %S" s
   in
-  List.iter expect_fail [ "x"; "+ x1"; "x1 *"; "x1 x2"; "y3"; "" ]
+  List.iter expect_fail
+    [ "x"; "+ x1"; "x1 *"; "x1 x2"; "y3"; ""; "x99999999999999999999"; "x(99999999999999999999) + 1" ]
 
 let test_io_xor_synonym () =
   check "^ parses as +" true (P.equal (poly "x1 ^ x2") (poly "x1 + x2"))

@@ -311,6 +311,24 @@ let test_metrics_counter_atomicity () =
   bump ();
   check_int "deterministic after reset" 80_000 (Metrics.counter_value c)
 
+(* one bump per minimised Karnaugh cover: a fresh domain starts with a
+   cold memo, and a repeated piece hits it *)
+let test_metrics_cover_misses () =
+  with_clean_obs @@ fun () ->
+  Metrics.set_enabled true;
+  let c = Metrics.counter "anf_to_cnf.cover_misses" in
+  let poly = Anf.Anf_io.poly_of_string in
+  let convert polys =
+    ignore (Bosphorus.Anf_to_cnf.convert ~config:Bosphorus.Config.default polys)
+  in
+  Domain.join
+    (Domain.spawn (fun () ->
+         convert [ poly "x1*x3 + x1 + x2 + x4 + 1" ];
+         check_int "one piece, one miss" 1 (Metrics.counter_value c);
+         (* the same function over other variables has the same key *)
+         convert [ poly "x5*x7 + x5 + x6 + x8 + 1"; poly "x1*x2 + x3" ];
+         check_int "a repeat hits, a new piece misses" 2 (Metrics.counter_value c)))
+
 let test_metrics_kind_clash_rejected () =
   with_clean_obs @@ fun () ->
   ignore (Metrics.counter "test.kind_clash");
@@ -488,6 +506,8 @@ let suite =
         Alcotest.test_case "counter atomic across domains, deterministic" `Quick
           test_metrics_counter_atomicity;
         Alcotest.test_case "kind clash rejected" `Quick test_metrics_kind_clash_rejected;
+        Alcotest.test_case "anf_to_cnf.cover_misses counts minimisations" `Quick
+          test_metrics_cover_misses;
         Alcotest.test_case "export parses (gauges, histograms, extras)" `Quick
           test_metrics_export_parses;
       ] );

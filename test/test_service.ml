@@ -57,6 +57,20 @@ let daemon_stat d key =
 
 let trivial_anf = "x1 + 1\nx1*x2 + x3\n"
 
+(* hard enough that the SAT stage actually feeds clauses into the solver
+   (a system solved outright by propagation/XL never converts) *)
+let hard_anf =
+  "x2*x11 + x5*x7 + x6*x11 + x7*x11 + 1\n\
+   x3*x12 + x5*x7 + 1\n\
+   x1*x2 + x1*x9 + x6*x10 + x7*x8\n\
+   x1*x6 + x1*x8 + x7*x8 + x8*x9 + 1\n\
+   x1*x9 + x6*x8 + x9*x12 + x11 + 1\n\
+   x2*x12 + x4*x7 + x5*x10 + 1\n\
+   x1*x11 + x2*x6 + x5*x8 + x11*x12\n\
+   x2*x4 + x2*x10 + x9*x11 + 1\n\
+   x2*x3 + x4*x6 + x10*x11 + 1\n\
+   x1*x5 + x1*x6 + x3*x10 + x4*x12 + 1\n"
+
 (* Random 3-SAT in DIMACS; at ratio ~4.4 any CDCL refutation/solution
    needs well over one conflict, which is what the fair-share test
    relies on. *)
@@ -233,6 +247,51 @@ let test_malformed_never_kills () =
       check "daemon alive after truncated peer" true (s.SP.status <> ""));
   check "protocol errors were counted" true (daemon_stat d "protocol_errors" >= 3.0)
 
+(* A variable index past [max_int] is a parse error, answered like any
+   other; the connection stays usable. *)
+let test_oversized_index () =
+  with_daemon "bigindex" @@ fun _ socket ->
+  with_client socket @@ fun c ->
+  expect_error ~what:"index past max_int" "parse"
+    (Service.Client.submit c ~client:"b" ~format:SP.Anf "x99999999999999999999 + 1\nx1 + 1\n");
+  let s = submit_ok ~what:"after the parse error" c ~client:"b" trivial_anf in
+  check "daemon still solves" true (s.SP.status <> "")
+
+(* The scheduler keeps the last [finished_capacity] finished jobs: a
+   status request for an older one answers unknown-job. *)
+let test_finished_jobs_evicted () =
+  let sched = Service.Sched.create () in
+  let sub =
+    { SP.client = "e"; format = SP.Anf; text = trivial_anf; wait = true; limits = Harness.Budget.no_limits }
+  in
+  let cap = Service.Sched.finished_capacity in
+  let jobs =
+    List.init (cap + 5) (fun _ ->
+        Service.Sched.add_completed sched ~client:"e" ~problem:(`Anf []) sub sample_summary)
+  in
+  List.iteri
+    (fun i (j : Service.Sched.job) ->
+      check (Printf.sprintf "job %d kept iff among the last %d" i cap) (i >= 5)
+        (Service.Sched.find sched j.Service.Sched.id <> None))
+    jobs;
+  (* through the daemon: one miss, then hits, each a finished job *)
+  with_daemon "evict" @@ fun _ socket ->
+  with_client socket @@ fun c ->
+  let id_of = function
+    | Ok (SP.Result (id, _)) -> id
+    | _ -> Alcotest.fail "expected a result"
+  in
+  let first = id_of (Service.Client.submit c ~client:"e" ~format:SP.Anf trivial_anf) in
+  let last = ref first in
+  for _ = 1 to cap do
+    last := id_of (Service.Client.submit c ~client:"e" ~format:SP.Anf trivial_anf)
+  done;
+  expect_error ~what:"status of an evicted job" "unknown-job" (Service.Client.status c first);
+  match Service.Client.status c !last with
+  | Ok (SP.Error_reply e) -> Alcotest.failf "status of the newest job: %s" e.code
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "transport error: %s" m
+
 (* ------------------------------------------------------------------ *)
 (* cache                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -258,6 +317,23 @@ let test_cache_equivalence () =
   check "variant hit equals miss" true (strip warm2 = strip cold);
   check "daemon counted hits" true (daemon_stat d "cache_hits" >= 2.0)
 
+(* While metrics are recorded, the stats reply carries the conversion's
+   cold-cover count: the worker domains start with cold memos, so a
+   system that reaches the SAT stage minimises at least one cover. *)
+let test_stats_cover_misses () =
+  Obs.Metrics.reset ();
+  Obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.set_enabled false;
+      Obs.Metrics.reset ())
+  @@ fun () ->
+  with_daemon ~workers:1 "covers" @@ fun d socket ->
+  with_client socket @@ fun c ->
+  let s = submit_ok ~what:"sat-stage system" c ~client:"m" hard_anf in
+  check "reached the SAT stage" true (s.SP.sat_calls > 0);
+  check "cover misses reported" true (daemon_stat d "anf_to_cnf.cover_misses" >= 1.0)
+
 (* ------------------------------------------------------------------ *)
 (* session pinning                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -268,18 +344,7 @@ let test_session_pinning () =
   (* hard enough that the SAT stage actually feeds clauses into the
      pinned solver (a system solved outright by propagation/XL pins an
      empty session, which carries nothing) *)
-  let s1 =
-    "x2*x11 + x5*x7 + x6*x11 + x7*x11 + 1\n\
-     x3*x12 + x5*x7 + 1\n\
-     x1*x2 + x1*x9 + x6*x10 + x7*x8\n\
-     x1*x6 + x1*x8 + x7*x8 + x8*x9 + 1\n\
-     x1*x9 + x6*x8 + x9*x12 + x11 + 1\n\
-     x2*x12 + x4*x7 + x5*x10 + 1\n\
-     x1*x11 + x2*x6 + x5*x8 + x11*x12\n\
-     x2*x4 + x2*x10 + x9*x11 + 1\n\
-     x2*x3 + x4*x6 + x10*x11 + 1\n\
-     x1*x5 + x1*x6 + x3*x10 + x4*x12 + 1\n"
-  in
+  let s1 = hard_anf in
   let s2 = s1 ^ "x1*x2 + x3 + 1\n" in
   let first = submit_ok ~what:"pin first" c ~client:"pin" s1 in
   Alcotest.(check int) "first run is cold" 0 first.SP.session_reused_clauses;
@@ -543,7 +608,10 @@ let suite =
         Alcotest.test_case "protocol/roundtrip" `Quick test_protocol_roundtrip;
         Alcotest.test_case "protocol/framing" `Quick test_framing;
         Alcotest.test_case "daemon/hostile-peers" `Quick test_malformed_never_kills;
+        Alcotest.test_case "daemon/oversized-index" `Quick test_oversized_index;
+        Alcotest.test_case "daemon/finished-jobs-evicted" `Quick test_finished_jobs_evicted;
         Alcotest.test_case "daemon/cache-equivalence" `Quick test_cache_equivalence;
+        Alcotest.test_case "daemon/stats-cover-misses" `Quick test_stats_cover_misses;
         Alcotest.test_case "daemon/session-pinning" `Quick test_session_pinning;
         Alcotest.test_case "daemon/fair-share-stress" `Quick test_fair_share_stress;
         Alcotest.test_case "daemon/cancel-and-shutdown" `Quick
