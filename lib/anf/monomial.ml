@@ -15,14 +15,6 @@ let of_vars xs =
 let vars m = Array.to_list m
 let view (m : t) : int array = m
 
-let of_view (a : int array) : t =
-  Array.iteri
-    (fun i x ->
-      if x < 0 || (i > 0 && a.(i - 1) >= x) then
-        invalid_arg "Monomial.of_view: not strictly increasing and non-negative")
-    a;
-  a
-
 let degree m = Array.length m
 let is_one m = Array.length m = 0
 
@@ -81,8 +73,6 @@ let support (ms : t array) =
     done
   done;
   if !k = n then buf else Array.sub buf 0 !k
-
-let support_views = support
 
 let remove_var m x =
   if contains m x then begin

@@ -26,11 +26,6 @@ val vars : t -> int list
     to it. *)
 val view : t -> int array
 
-(** [of_view a] is the monomial whose {!view} is [a], sharing [a]; [a]
-    must not be written to afterwards.  Raises [Invalid_argument] unless
-    [a] is strictly increasing and non-negative. *)
-val of_view : int array -> t
-
 (** Number of distinct variables. *)
 val degree : t -> int
 
@@ -45,10 +40,6 @@ val mul : t -> t -> t
 (** [support ms] is the ascending array of distinct variables occurring in
     the monomials [ms]. *)
 val support : t array -> int array
-
-(** [support_views vs] is {!support} over variable arrays: each of [vs]
-    strictly increasing, as {!view} returns them. *)
-val support_views : int array array -> int array
 
 (** [remove_var m x] is [m] with variable [x] deleted (identity if absent). *)
 val remove_var : t -> int -> t

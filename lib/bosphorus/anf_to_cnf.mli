@@ -12,15 +12,20 @@
 
     The Karnaugh path supports K <= 8 (every entry point raises
     [Invalid_argument] for a larger [karnaugh_vars]).  A piece's terms
-    are its monomials' variable arrays (and one-element arrays for cut
-    variables); each becomes the bit mask of its variables' positions
-    among the piece's k ascending variables.  Each domain memoises the
+    are monomials (a cut variable is a one-variable monomial); each
+    becomes the bit mask of its variables' positions among the piece's
+    k ascending variables.  Each domain memoises the
     minimised cover of every (k, parity, ascending term masks) it has
     seen, up to 4096 entries (the table is cleared when full).  A
     function's algebraic normal form is unique, so the key names exactly
     one truth table; the truth table is built and minimised only on a
     miss, which bumps the [anf_to_cnf.cover_misses] metric.  The memo is
     transparent — a hit emits exactly the clauses a miss would. *)
+
+(** Karnaugh covers minimised so far in this process: the
+    [anf_to_cnf.cover_misses] metric, which reads 0 while metrics are
+    off. *)
+val cover_misses : unit -> int
 
 type conversion = {
   formula : Cnf.Formula.t;
@@ -93,9 +98,6 @@ val mono_of_var : incremental -> (int, Anf.Monomial.t) Hashtbl.t
 (** Every XOR row recorded so far, in emission order, as in
     {!conversion}[.xors]. *)
 val xors : incremental -> (int list * bool) list
-
-(** [List.length (xors inc)], without building the list. *)
-val n_xors : incremental -> int
 
 (** [formula inc] builds the cumulative formula of everything encoded so
     far, as one-shot {!convert} would — the whole clause list is copied on

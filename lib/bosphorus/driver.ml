@@ -459,12 +459,11 @@ let run_with_stages ?(config = Config.default) ?budget ?session ~stages polys =
     let clauses_ok =
       clauses_ok
       &&
-      let n_xors = Anf_to_cnf.n_xors inc in
+      let all_xors = Anf_to_cnf.xors inc in
+      let n_xors = List.length all_xors in
       (not (gauss_wanted n_xors))
       ||
-      let fresh_rows =
-        List.filteri (fun i _ -> i >= st.Session.xors_hwm) (Anf_to_cnf.xors inc)
-      in
+      let fresh_rows = List.filteri (fun i _ -> i >= st.Session.xors_hwm) all_xors in
       st.Session.xors_hwm <- n_xors;
       feed_xors st.Session.solver fresh_rows
     in

@@ -7,21 +7,15 @@ let sorted3 x y z =
   else if Lit.compare x z < 0 then [| x; z; y |]
   else [| z; x; y |]
 
-let rec ascending_list = function
-  | a :: (b :: _ as rest) -> Lit.compare a b < 0 && ascending_list rest
-  | [ _ ] | [] -> true
-
 (* Two and three distinct literals, most of the clauses the generators and
    the ANF-to-CNF conversion build, are sorted without the lists and
-   closures of [List.sort_uniq], and so are lists already strictly
-   ascending, as XOR expansion writes them. *)
+   closures of [List.sort_uniq]. *)
 let of_list lits =
   match lits with
   | [ a; b ] when not (Lit.equal a b) ->
       if Lit.compare a b < 0 then [| a; b |] else [| b; a |]
   | [ a; b; c ] when not (Lit.equal a b || Lit.equal a c || Lit.equal b c) ->
       if Lit.compare a b < 0 then sorted3 a b c else sorted3 b a c
-  | _ when ascending_list lits -> Array.of_list lits
   | _ -> Array.of_list (List.sort_uniq Lit.compare lits)
 
 let rec ascending (a : t) i =

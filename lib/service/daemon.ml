@@ -28,9 +28,6 @@ let m_session_reuses = Obs.Metrics.counter "service.session_reuses"
 let g_queue_depth = Obs.Metrics.gauge "service.queue_depth"
 let h_request_wall = Obs.Metrics.histogram "service.request_wall_s"
 
-(* bumped by the conversion on every Karnaugh cover it minimises *)
-let m_cover_misses = Obs.Metrics.counter "anf_to_cnf.cover_misses"
-
 type session_slot = {
   session : Bosphorus.Driver.Session.t;
   mutable in_use : bool;
@@ -203,7 +200,7 @@ let stats t =
   (* a counter reads 0 while recording is off, so it is shown only when on *)
   @
   if Obs.Metrics.enabled () then
-    [ ("anf_to_cnf.cover_misses", float_of_int (Obs.Metrics.counter_value m_cover_misses)) ]
+    [ ("anf_to_cnf.cover_misses", float_of_int (Bosphorus.Anf_to_cnf.cover_misses ())) ]
   else []
 
 (* ------------------------------------------------------------------ *)

@@ -34,7 +34,12 @@ type t = {
   in_ring : (string, unit) Hashtbl.t;
   running : (string, int) Hashtbl.t;
   jobs : (int, job) Hashtbl.t;
-  finished : int Queue.t;  (** ids of the finished jobs in [jobs], oldest first *)
+  delivered : int Queue.t;
+      (** finished jobs in [jobs] whose outcome went out in the submit
+          reply (cache hits, [wait] jobs), oldest first *)
+  undelivered : int Queue.t;
+      (** finished [wait = false] jobs in [jobs], which only {!find}
+          reports, oldest first *)
   mutable next_id : int;
   mutable depth : int;
   mutable n_running : int;
@@ -55,7 +60,8 @@ let create () =
     in_ring = Hashtbl.create 16;
     running = Hashtbl.create 16;
     jobs = Hashtbl.create 64;
-    finished = Queue.create ();
+    delivered = Queue.create ();
+    undelivered = Queue.create ();
     next_id = 0;
     depth = 0;
     n_running = 0;
@@ -70,11 +76,14 @@ let finished_capacity = 1024
 
 (* Under the lock, once [job] is terminal: past [finished_capacity]
    finished jobs, forget the oldest, so a long-lived daemon keeps a fixed
-   number of requests' texts, problems and summaries. *)
-let retire t job =
-  Queue.push job.id t.finished;
-  if Queue.length t.finished > finished_capacity then
-    Hashtbl.remove t.jobs (Queue.pop t.finished)
+   number of requests' texts, problems and summaries.  Jobs whose outcome
+   the submitter already has go first, so other clients' cache hits do not
+   erase an async result before it is polled. *)
+let retire t ~delivered job =
+  Queue.push job.id (if delivered then t.delivered else t.undelivered);
+  if Queue.length t.delivered + Queue.length t.undelivered > finished_capacity then
+    Hashtbl.remove t.jobs
+      (Queue.pop (if Queue.is_empty t.delivered then t.undelivered else t.delivered))
 
 let locked t f =
   Mutex.lock t.m;
@@ -125,7 +134,7 @@ let add_completed t ~client ~problem sub summary =
   let job = fresh_job t ~client ~cache_key:None ~problem ~state:Done sub in
   job.summary <- Some summary;
   t.n_done <- t.n_done + 1;
-  retire t job;
+  retire t ~delivered:true job;
   job
 
 let find t id = locked t @@ fun () -> Hashtbl.find_opt t.jobs id
@@ -176,7 +185,7 @@ let finish t job result =
       job.state <- Failed;
       job.error <- Some msg;
       t.n_failed <- t.n_failed + 1);
-  retire t job;
+  retire t ~delivered:job.submit.Protocol.wait job;
   t.n_running <- t.n_running - 1;
   (match Hashtbl.find_opt t.running job.client with
   | Some n when n > 1 -> Hashtbl.replace t.running job.client (n - 1)
@@ -193,7 +202,7 @@ let cancel t id =
           job.state <- Cancelled;
           t.depth <- t.depth - 1;
           t.n_cancelled <- t.n_cancelled + 1;
-          retire t job;
+          retire t ~delivered:job.submit.Protocol.wait job;
           Condition.broadcast t.done_cv;
           `Cancelled
       | Running ->
@@ -241,7 +250,7 @@ let stop t =
             job.state <- Cancelled;
             t.depth <- t.depth - 1;
             t.n_cancelled <- t.n_cancelled + 1;
-            retire t job
+            retire t ~delivered:job.submit.Protocol.wait job
           end)
         q)
     t.queues;

@@ -44,11 +44,13 @@ val add_completed :
   Protocol.summary -> job
 
 (** Finished jobs (done, failed or cancelled) kept for {!find}: past
-    this many, the oldest finished job is forgotten.  1024. *)
+    this many, the oldest finished job is forgotten — the oldest whose
+    outcome went out in its submit reply (a cache hit or a [wait] job)
+    while there is one, else the oldest [wait = false] job.  1024. *)
 val finished_capacity : int
 
-(** The job with this id, if it is queued, running, or among the last
-    {!finished_capacity} to finish. *)
+(** The job with this id, if it is queued, running, or among the
+    {!finished_capacity} finished jobs kept. *)
 val find : t -> int -> job option
 
 (** Blocks for the next runnable job (fair round-robin across clients);

@@ -108,7 +108,6 @@ let prop_encode_round =
           && A.cnf_nvars inc = O.cnf_nvars ref_inc
           && A.anf_nvars inc = O.anf_nvars ref_inc
           && same_xors (A.xors inc) (O.xors ref_inc)
-          && A.n_xors inc = List.length (O.xors ref_inc)
           && same_mono_map (A.mono_of_var inc) (O.mono_of_var ref_inc)
           && same_formula (A.formula inc) (O.formula ref_inc))
         rounds)

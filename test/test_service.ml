@@ -441,6 +441,61 @@ let rec await_terminal c id =
   | Ok _ -> Alcotest.fail "unexpected status reply"
   | Error m -> Alcotest.failf "status transport error: %s" m
 
+(* A [wait = false] job's result is fetched only through status, so the
+   finished jobs whose outcome went out inline are evicted first: one
+   client's [finished_capacity + 1] cache hits leave another client's
+   async result in place. *)
+let test_async_result_kept () =
+  let sched = Service.Sched.create () in
+  let sub client wait =
+    { SP.client; format = SP.Anf; text = trivial_anf; wait; limits = Harness.Budget.no_limits }
+  in
+  let cap = Service.Sched.finished_capacity in
+  let async = Service.Sched.submit sched ~client:"b" ~problem:(`Anf []) (sub "b" false) in
+  (match Service.Sched.next sched with
+  | Some j -> Service.Sched.finish sched j (`Done sample_summary)
+  | None -> Alcotest.fail "no job to run");
+  let hits =
+    List.init (cap + 1) (fun _ ->
+        Service.Sched.add_completed sched ~client:"a" ~problem:(`Anf []) (sub "a" false)
+          sample_summary)
+  in
+  check "async result kept" true (Service.Sched.find sched async.Service.Sched.id <> None);
+  check "oldest hit evicted" true
+    (Service.Sched.find sched (List.hd hits).Service.Sched.id = None);
+  (* once only async results are left, the oldest of them goes *)
+  let more_async =
+    List.init cap (fun _ ->
+        let j = Service.Sched.submit sched ~client:"b" ~problem:(`Anf []) (sub "b" false) in
+        (match Service.Sched.next sched with
+        | Some j -> Service.Sched.finish sched j (`Done sample_summary)
+        | None -> Alcotest.fail "no job to run");
+        j)
+  in
+  check "first async result evicted last" true
+    (Service.Sched.find sched async.Service.Sched.id = None);
+  check "newest async result kept" true
+    (Service.Sched.find sched (List.nth more_async (cap - 1)).Service.Sched.id <> None);
+  (* through the daemon: an async miss, then another client's hits *)
+  with_daemon "async-kept" @@ fun _ socket ->
+  with_client socket @@ fun c ->
+  let id =
+    match Service.Client.submit c ~client:"b" ~format:SP.Anf ~wait:false "x1*x2 + x3\nx2 + 1\n" with
+    | Ok (SP.Accepted id) -> id
+    | _ -> Alcotest.fail "async submit not accepted"
+  in
+  let state, _ = await_terminal c id in
+  Alcotest.(check string) "async job done" "done" state;
+  for _ = 0 to cap do
+    match Service.Client.submit c ~client:"a" ~format:SP.Anf trivial_anf with
+    | Ok (SP.Result _) -> ()
+    | _ -> Alcotest.fail "expected a result"
+  done;
+  match Service.Client.status c id with
+  | Ok (SP.Job_status (_, "done", Some _)) -> ()
+  | Ok r -> Alcotest.failf "status of the async job: %s" (SP.encode_response r)
+  | Error m -> Alcotest.failf "transport error: %s" m
+
 let test_cancel_and_shutdown () =
   let socket_path = "tsvc-cancel.sock" in
   let cfg =
@@ -610,6 +665,7 @@ let suite =
         Alcotest.test_case "daemon/hostile-peers" `Quick test_malformed_never_kills;
         Alcotest.test_case "daemon/oversized-index" `Quick test_oversized_index;
         Alcotest.test_case "daemon/finished-jobs-evicted" `Quick test_finished_jobs_evicted;
+        Alcotest.test_case "daemon/async-result-kept" `Quick test_async_result_kept;
         Alcotest.test_case "daemon/cache-equivalence" `Quick test_cache_equivalence;
         Alcotest.test_case "daemon/stats-cover-misses" `Quick test_stats_cover_misses;
         Alcotest.test_case "daemon/session-pinning" `Quick test_session_pinning;
